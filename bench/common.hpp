@@ -15,6 +15,7 @@
 #include "core/sessions.hpp"
 #include "corpus/alexa.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/statistics.hpp"
 
 namespace mahimahi::bench {
@@ -128,8 +129,10 @@ class PerfReport {
     out << "{\n  \"schema\": \"mahimahi-bench-v1\",\n  \"benchmarks\": [";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& row = rows_[i];
-      out << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-          << json_escape(row.name) << "\", \"ns_per_op\": " << row.ns_per_op
+      std::string name;
+      util::append_json_escaped(name, row.name);
+      out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << name
+          << "\", \"ns_per_op\": " << row.ns_per_op
           << ", \"items_per_second\": " << row.items_per_second
           << ", \"bytes_per_second\": " << row.bytes_per_second << "}";
     }
@@ -138,18 +141,6 @@ class PerfReport {
   }
 
  private:
-  static std::string json_escape(const std::string& text) {
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
-    return escaped;
-  }
-
   std::vector<Row> rows_;
 };
 

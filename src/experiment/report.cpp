@@ -1,41 +1,37 @@
 #include "experiment/report.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace mahimahi::experiment {
 namespace {
 
-/// Fixed-precision double formatting — the determinism backbone of the
-/// report: printf of a finite double with a fixed precision is a pure
-/// function of the value, so byte-identical samples serialize to
-/// byte-identical text.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
+using util::fixed;
+
+/// Appends `key` (a literal that opens the value's quotes), `value` escaped
+/// and the closing quote.
+void append_string_field(std::string& out, const char* key,
+                         const std::string& value) {
+  out += key;
+  util::append_json_escaped(out, value);
+  out += '"';
 }
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
+void append_fixed_array(std::string& out, const std::vector<double>& values) {
+  out += "[";
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    out += j == 0 ? "" : ", ";
+    out += fixed(values[j]);
   }
-  return escaped;
+  out += "]";
 }
 
 void append_summary_fields(std::string& out, const util::Samples& plt) {
-  out += "\"plt_median_ms\": " + fmt(plt.empty() ? 0 : plt.median());
-  out += ", \"plt_mean_ms\": " + fmt(plt.empty() ? 0 : plt.mean());
-  out += ", \"plt_p95_ms\": " + fmt(plt.empty() ? 0 : plt.percentile(95));
-  out += ", \"plt_min_ms\": " + fmt(plt.empty() ? 0 : plt.min());
-  out += ", \"plt_max_ms\": " + fmt(plt.empty() ? 0 : plt.max());
+  out += "\"plt_median_ms\": " + fixed(plt.empty() ? 0 : plt.median());
+  out += ", \"plt_mean_ms\": " + fixed(plt.empty() ? 0 : plt.mean());
+  out += ", \"plt_p95_ms\": " + fixed(plt.empty() ? 0 : plt.percentile(95));
+  out += ", \"plt_min_ms\": " + fixed(plt.empty() ? 0 : plt.min());
+  out += ", \"plt_max_ms\": " + fixed(plt.empty() ? 0 : plt.max());
 }
 
 }  // namespace
@@ -44,7 +40,8 @@ std::string Report::to_json() const {
   std::string out;
   out += "{\n";
   out += "  \"schema\": \"mahimahi-experiment-v1\",\n";
-  out += "  \"name\": \"" + json_escape(name) + "\",\n";
+  append_string_field(out, "  \"name\": \"", name);
+  out += ",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"loads_per_cell\": " + std::to_string(loads_per_cell) + ",\n";
   out += "  \"total_cells\": " + std::to_string(total_cells) + ",\n";
@@ -58,15 +55,15 @@ std::string Report::to_json() const {
     const CellResult& cell = cells[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"index\": " + std::to_string(cell.index);
-    out += ", \"site\": \"" + json_escape(cell.site) + "\"";
-    out += ", \"protocol\": \"" + json_escape(cell.protocol) + "\"";
-    out += ", \"shell\": \"" + json_escape(cell.shell) + "\"";
-    out += ", \"queue\": \"" + json_escape(cell.queue) + "\"";
-    out += ", \"cc\": \"" + json_escape(cell.cc) + "\"";
-    out += ", \"fleet\": \"" + json_escape(cell.fleet) + "\"";
+    append_string_field(out, ", \"site\": \"", cell.site);
+    append_string_field(out, ", \"protocol\": \"", cell.protocol);
+    append_string_field(out, ", \"shell\": \"", cell.shell);
+    append_string_field(out, ", \"queue\": \"", cell.queue);
+    append_string_field(out, ", \"cc\": \"", cell.cc);
+    append_string_field(out, ", \"fleet\": \"", cell.fleet);
     out += ", \"fleet_sessions\": " + std::to_string(cell.fleet_sessions);
     if (fault_axis) {
-      out += ", \"fault\": \"" + json_escape(cell.fault) + "\"";
+      append_string_field(out, ", \"fault\": \"", cell.fault);
     }
     if (interrupted) {
       out += ", \"loads_done\": " + std::to_string(cell.loads_done);
@@ -75,50 +72,39 @@ std::string Report::to_json() const {
     out += ", \"failed_loads\": " + std::to_string(cell.failed_loads);
     out += ", ";
     append_summary_fields(out, cell.plt_ms);
-    out += ", \"plt_ms\": [";
-    const auto& values = cell.plt_ms.values();
-    for (std::size_t j = 0; j < values.size(); ++j) {
-      out += j == 0 ? "" : ", ";
-      out += fmt(values[j]);
-    }
-    out += "]";
+    out += ", \"plt_ms\": ";
+    append_fixed_array(out, cell.plt_ms.values());
     if (fault_axis) {
       out += ", \"objects_failed\": " + std::to_string(cell.objects_failed);
       out += ", \"retries\": " + std::to_string(cell.retries);
       out += ", \"timeouts\": " + std::to_string(cell.timeouts);
       const util::Samples& deg = cell.degraded_plt_ms;
       out += ", \"degraded_plt_median_ms\": " +
-             fmt(deg.empty() ? 0 : deg.median());
-      out += ", \"degraded_plt_ms\": [";
-      const auto& degraded = deg.values();
-      for (std::size_t j = 0; j < degraded.size(); ++j) {
-        out += j == 0 ? "" : ", ";
-        out += fmt(degraded[j]);
-      }
-      out += "]";
+             fixed(deg.empty() ? 0 : deg.median());
+      out += ", \"degraded_plt_ms\": ";
+      append_fixed_array(out, deg.values());
     }
     // Worker-task failures surface in any report (fault axis or not);
     // healthy runs have none, so the key's absence keeps them byte-stable.
     if (!cell.load_errors.empty()) {
       out += ", \"load_errors\": [";
       for (std::size_t j = 0; j < cell.load_errors.size(); ++j) {
-        out += j == 0 ? "" : ", ";
-        out += "\"" + json_escape(cell.load_errors[j]) + "\"";
+        append_string_field(out, j == 0 ? "\"" : ", \"", cell.load_errors[j]);
       }
       out += "]";
     }
     if (cell.probe_ran) {
       out += ", \"probe\": {\"queue_delay_p95_ms\": " +
-             fmt(cell.queue_delay_p95_ms, 3);
-      out += ", \"jain_index\": " + fmt(cell.jain_index);
+             fixed(cell.queue_delay_p95_ms, 3);
+      out += ", \"jain_index\": " + fixed(cell.jain_index);
       out += ", \"flows\": [";
       for (std::size_t j = 0; j < cell.flows.size(); ++j) {
         const FlowResult& flow = cell.flows[j];
-        out += j == 0 ? "" : ", ";
-        out += "{\"cc\": \"" + json_escape(flow.controller) + "\"";
+        append_string_field(out, j == 0 ? "{\"cc\": \"" : ", {\"cc\": \"",
+                            flow.controller);
         out += ", \"bytes\": " + std::to_string(flow.bytes_delivered);
-        out += ", \"throughput_bps\": " + fmt(flow.throughput_bps, 1);
-        out += ", \"share\": " + fmt(flow.share);
+        out += ", \"throughput_bps\": " + fixed(flow.throughput_bps, 1);
+        out += ", \"share\": " + fixed(flow.share);
         out += ", \"retransmissions\": " +
                std::to_string(flow.retransmissions) + "}";
       }
@@ -153,18 +139,18 @@ std::string Report::to_csv() const {
     out += std::to_string(cell.plt_ms.size()) + ",";
     out += std::to_string(cell.failed_loads) + ",";
     const util::Samples& plt = cell.plt_ms;
-    out += fmt(plt.empty() ? 0 : plt.median()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.mean()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.percentile(95)) + ",";
-    out += fmt(plt.empty() ? 0 : plt.min()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.max()) + ",";
+    out += fixed(plt.empty() ? 0 : plt.median()) + ",";
+    out += fixed(plt.empty() ? 0 : plt.mean()) + ",";
+    out += fixed(plt.empty() ? 0 : plt.percentile(95)) + ",";
+    out += fixed(plt.empty() ? 0 : plt.min()) + ",";
+    out += fixed(plt.empty() ? 0 : plt.max()) + ",";
     if (cell.probe_ran) {
-      out += fmt(cell.queue_delay_p95_ms, 3) + ",";
-      out += fmt(cell.jain_index) + ",";
+      out += fixed(cell.queue_delay_p95_ms, 3) + ",";
+      out += fixed(cell.jain_index) + ",";
       std::string shares;
       for (const FlowResult& flow : cell.flows) {
         shares += shares.empty() ? "" : "|";
-        shares += flow.controller + ":" + fmt(flow.share, 4);
+        shares += flow.controller + ":" + fixed(flow.share, 4);
       }
       out += shares;
     } else {
@@ -176,7 +162,7 @@ std::string Report::to_csv() const {
       out += "," + std::to_string(cell.objects_failed);
       out += "," + std::to_string(cell.retries);
       out += "," + std::to_string(cell.timeouts);
-      out += "," + fmt(deg.empty() ? 0 : deg.median());
+      out += "," + fixed(deg.empty() ? 0 : deg.median());
     }
     out += "\n";
   }
@@ -190,8 +176,8 @@ std::string Report::to_bench_json() const {
   const auto add = [&](const std::string& row_name, double ns_per_op) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + json_escape(row_name) +
-           "\", \"ns_per_op\": " + fmt(ns_per_op, 1) +
+    append_string_field(out, "    {\"name\": \"", row_name);
+    out += ", \"ns_per_op\": " + fixed(ns_per_op, 1) +
            ", \"items_per_second\": 0, \"bytes_per_second\": 0}";
   };
   for (const CellResult& cell : cells) {

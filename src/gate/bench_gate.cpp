@@ -2,21 +2,23 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace mahimahi::gate {
 namespace {
 
 // ---------------------------------------------------------------------------
 // A minimal JSON reader — just enough for the bench/baseline schemas (no
-// unicode escapes, no nesting beyond what the schemas use). Kept local so
-// the gate has zero dependencies beyond the standard library.
+// nesting beyond what the schemas use, \u escapes for ASCII only). It
+// reads back every string util::append_json_escaped writes.
 // ---------------------------------------------------------------------------
 
 struct JsonValue {
@@ -143,6 +145,7 @@ class JsonParser {
           case 'n': c = '\n'; break;
           case 't': c = '\t'; break;
           case 'r': c = '\r'; break;
+          case 'u': c = parse_ascii_escape(); break;
           default:
             fail(std::string{"unsupported escape '\\"} + escaped + "'");
         }
@@ -154,6 +157,20 @@ class JsonParser {
     }
     ++pos_;  // closing quote
     return value;
+  }
+
+  /// The four hex digits after "\u". Only ASCII code points: they are
+  /// all util::append_json_escaped ever writes as \u escapes.
+  char parse_ascii_escape() {
+    const char* begin = text_.data() + pos_;
+    const char* end = begin + std::min<std::size_t>(4, text_.size() - pos_);
+    unsigned code = 0;
+    const auto [stop, error] = std::from_chars(begin, end, code, 16);
+    if (error != std::errc{} || stop != begin + 4 || code >= 0x80) {
+      fail("unsupported \\u escape");
+    }
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   JsonValue parse_number() {
@@ -294,12 +311,6 @@ std::string read_file_or_throw(const std::string& path) {
   return contents.str();
 }
 
-std::string fmt(double value, int precision = 3) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
-
 /// One metric comparison; `lower_is_better` encodes the direction.
 void compare_metric(GateResult& result, const std::string& row_name,
                     const char* metric, double base, double current,
@@ -395,23 +406,28 @@ Baseline load_baseline_file(const std::string& path) {
 std::string make_baseline_json(const Baseline& baseline) {
   std::string out;
   out += "{\n  \"schema\": \"mahimahi-bench-baseline-v1\",\n";
-  out += "  \"default_tolerance\": " + fmt(baseline.default_tolerance) + ",\n";
+  out += "  \"default_tolerance\": " +
+         util::fixed(baseline.default_tolerance, 3) + ",\n";
   out += "  \"tolerances\": {";
   bool first = true;
   for (const auto& [name, tolerance] : baseline.tolerances) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + name + "\": " + fmt(tolerance);
+    out += "    \"";
+    util::append_json_escaped(out, name);
+    out += "\": " + util::fixed(tolerance, 3);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"benchmarks\": [";
   for (std::size_t i = 0; i < baseline.rows.size(); ++i) {
     const BenchRow& row = baseline.rows[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + row.name +
-           "\", \"ns_per_op\": " + fmt(row.ns_per_op, 1) +
-           ", \"items_per_second\": " + fmt(row.items_per_second, 1) +
-           ", \"bytes_per_second\": " + fmt(row.bytes_per_second, 1) + "}";
+    out += "    {\"name\": \"";
+    util::append_json_escaped(out, row.name);
+    out += "\", \"ns_per_op\": " + util::fixed(row.ns_per_op, 1) +
+           ", \"items_per_second\": " + util::fixed(row.items_per_second, 1) +
+           ", \"bytes_per_second\": " + util::fixed(row.bytes_per_second, 1) +
+           "}";
   }
   out += "\n  ]\n}\n";
   return out;
@@ -475,11 +491,11 @@ std::string format_delta_table(const GateResult& result) {
     } else if (delta.status == MetricStatus::kNew) {
       row.insert(row.end(), {"(not pinned)", "-", "-", "-"});
     } else {
-      row.push_back(fmt(delta.baseline, 1));
-      row.push_back(fmt(delta.current, 1));
+      row.push_back(util::fixed(delta.baseline, 1));
+      row.push_back(util::fixed(delta.current, 1));
       row.push_back((delta.change_pct >= 0 ? "+" : "") +
-                    fmt(delta.change_pct, 2) + "%");
-      row.push_back("+-" + fmt(delta.tolerance * 100.0, 0) + "%");
+                    util::fixed(delta.change_pct, 2) + "%");
+      row.push_back("+-" + util::fixed(delta.tolerance * 100.0, 0) + "%");
     }
     row.push_back(status_name(delta.status));
     cells.push_back(std::move(row));

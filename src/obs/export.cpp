@@ -3,63 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace mahimahi::obs {
 namespace {
 
-// All doubles serialize through fixed-precision snprintf — the same
-// discipline as experiment/report.cpp — so exported bytes are a pure
-// function of the values, not of locale or shortest-round-trip quirks.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
-}
-
-std::string fmt_i64(std::int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRId64, value);
-  return buffer;
-}
-
-std::string fmt_u64(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
-  return buffer;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::append_json_escaped;
+using util::fixed;
 
 // ---- Chrome trace ---------------------------------------------------------
 
@@ -84,68 +34,75 @@ std::string lane_name(std::int32_t session, Layer layer) {
 }
 
 void append_event_json(std::string& out, int pid, const TraceEvent& event) {
-  const std::string tid = fmt_i64(lane(event.session, event.layer));
-  const std::string ts = fmt_i64(event.at);
+  const std::string where = R"(,"pid":)" + std::to_string(pid) +
+                            R"(,"tid":)" +
+                            std::to_string(lane(event.session, event.layer)) +
+                            R"(,"ts":)" + std::to_string(event.at);
   switch (event.kind) {
     case EventKind::kEnqueue:
     case EventKind::kDequeue:
       // Queue depth as a counter track named after the queue.
-      out += R"({"name":"queue )" + json_escape(event.label) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"packets":)" +
-             fmt_u64(event.value) + R"(,"bytes":)" + fmt(event.metric, 0) +
-             "}}";
+      out += R"({"name":"queue )";
+      append_json_escaped(out, event.label);
+      out += R"(","ph":"C")" + where + R"(,"args":{"packets":)" +
+             std::to_string(event.value) + R"(,"bytes":)" +
+             fixed(event.metric, 0) + "}}";
       return;
     case EventKind::kTcpCwndSample:
-      out += R"({"name":"cwnd flow )" + fmt_u64(event.flow) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"cwnd":)" +
-             fmt(event.metric, 0) + R"(,"ssthresh":)" + fmt_u64(event.value) +
-             "}}";
+      out += R"({"name":"cwnd flow )" + std::to_string(event.flow) +
+             R"(","ph":"C")" + where + R"(,"args":{"cwnd":)" +
+             fixed(event.metric, 0) + R"(,"ssthresh":)" +
+             std::to_string(event.value) + "}}";
       return;
     case EventKind::kTcpRttSample:
-      out += R"({"name":"srtt flow )" + fmt_u64(event.flow) +
-             R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-             tid + R"(,"ts":)" + ts + R"(,"args":{"srtt_ms":)" +
-             fmt(event.metric, 3) + "}}";
+      out += R"({"name":"srtt flow )" + std::to_string(event.flow) +
+             R"(","ph":"C")" + where + R"(,"args":{"srtt_ms":)" +
+             fixed(event.metric, 3) + "}}";
       return;
     default:
       break;
   }
   // Everything else is an instant with the full payload in args.
   out += R"({"name":")" + std::string(to_string(event.kind)) +
-         R"(","ph":"i","s":"t","pid":)" + std::to_string(pid) + R"(,"tid":)" +
-         tid + R"(,"ts":)" + ts + R"(,"args":{"label":")" +
-         json_escape(event.label) + R"(","flow":)" + fmt_u64(event.flow) +
-         R"(,"value":)" + fmt_u64(event.value) + R"(,"metric":)" +
-         fmt(event.metric, 3) + "}}";
+         R"(","ph":"i","s":"t")" + where + R"(,"args":{"label":")";
+  append_json_escaped(out, event.label);
+  out += R"(","flow":)" + std::to_string(event.flow) + R"(,"value":)" +
+         std::to_string(event.value) + R"(,"metric":)" +
+         fixed(event.metric, 3) + "}}";
 }
 
 void append_object_span(std::string& out, int pid, const ObjectRecord& o) {
   const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
   const Microseconds end = o.complete >= 0 ? o.complete : start;
-  out += R"({"name":")" + json_escape(o.url) + R"(","cat":"object","ph":"X")" +
-         R"(,"pid":)" + std::to_string(pid) + R"(,"tid":)" +
-         fmt_i64(lane(o.session, Layer::kBrowser)) + R"(,"ts":)" +
-         fmt_i64(start) + R"(,"dur":)" + fmt_i64(end - start) +
-         R"(,"args":{"kind":")" + json_escape(o.kind) + R"(","status":)" +
-         std::to_string(o.status) + R"(,"bytes":)" + fmt_u64(o.bytes) +
-         R"(,"attempts":)" + std::to_string(o.attempts) + R"(,"failed":)" +
+  out += R"({"name":")";
+  append_json_escaped(out, o.url);
+  out += R"(","cat":"object","ph":"X","pid":)" + std::to_string(pid) +
+         R"(,"tid":)" + std::to_string(lane(o.session, Layer::kBrowser)) +
+         R"(,"ts":)" + std::to_string(start) + R"(,"dur":)" +
+         std::to_string(end - start) + R"(,"args":{"kind":")";
+  append_json_escaped(out, o.kind);
+  out += R"(","status":)" + std::to_string(o.status) + R"(,"bytes":)" +
+         std::to_string(o.bytes) + R"(,"attempts":)" +
+         std::to_string(o.attempts) + R"(,"failed":)" +
          (o.failed ? "true" : "false") + R"(,"dns_start":)" +
-         fmt_i64(o.dns_start) + R"(,"dns_done":)" + fmt_i64(o.dns_done) +
-         R"(,"connect_done":)" + fmt_i64(o.connect_done) +
-         R"(,"request_sent":)" + fmt_i64(o.request_sent) +
-         R"(,"first_byte":)" + fmt_i64(o.first_byte) + R"(,"error":")" +
-         json_escape(o.error) + R"("}})";
+         std::to_string(o.dns_start) + R"(,"dns_done":)" +
+         std::to_string(o.dns_done) + R"(,"connect_done":)" +
+         std::to_string(o.connect_done) + R"(,"request_sent":)" +
+         std::to_string(o.request_sent) + R"(,"first_byte":)" +
+         std::to_string(o.first_byte) + R"(,"error":")";
+  append_json_escaped(out, o.error);
+  out += R"("}})";
 }
 
 void append_page_span(std::string& out, int pid, const PageRecord& p) {
-  out += R"({"name":"page )" + json_escape(p.url) +
-         R"(","cat":"page","ph":"X","pid":)" + std::to_string(pid) +
-         R"(,"tid":)" + fmt_i64(lane(p.session, Layer::kBrowser)) +
-         R"(,"ts":)" + fmt_i64(p.started_at) + R"(,"dur":)" + fmt_i64(p.plt) +
-         R"(,"args":{"success":)" + (p.success ? "true" : "false") +
-         R"(,"degraded_plt_ms":)" + fmt(to_ms(p.degraded_plt), 3) + "}}";
+  out += R"({"name":"page )";
+  append_json_escaped(out, p.url);
+  out += R"(","cat":"page","ph":"X","pid":)" + std::to_string(pid) +
+         R"(,"tid":)" + std::to_string(lane(p.session, Layer::kBrowser)) +
+         R"(,"ts":)" + std::to_string(p.started_at) + R"(,"dur":)" +
+         std::to_string(p.plt) + R"(,"args":{"success":)" +
+         (p.success ? "true" : "false") + R"(,"degraded_plt_ms":)" +
+         fixed(to_ms(p.degraded_plt), 3) + "}}";
 }
 
 // ---- HAR ------------------------------------------------------------------
@@ -195,23 +152,25 @@ std::string to_chrome_trace(const TraceMeta& meta,
                             const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  out += R"({"displayTimeUnit":"ms","otherData":{"experiment":")" +
-         json_escape(meta.experiment) + R"(","cell":")" +
-         json_escape(meta.cell_label) + R"(","cell_index":)" +
-         std::to_string(meta.cell_index) + R"(,"cell_seed":)" +
-         fmt_u64(meta.cell_seed) + R"(},"traceEvents":[)";
+  out += R"({"displayTimeUnit":"ms","otherData":{"experiment":")";
+  append_json_escaped(out, meta.experiment);
+  out += R"(","cell":")";
+  append_json_escaped(out, meta.cell_label);
+  out += R"(","cell_index":)" + std::to_string(meta.cell_index) +
+         R"(,"cell_seed":)" + std::to_string(meta.cell_seed) +
+         R"(},"traceEvents":[)";
   bool first = true;
-  const auto emit = [&](const std::string& event_json) {
+  const auto next_event = [&] {
     if (!first) {
       out += ",\n";
     }
     first = false;
-    out += event_json;
   };
   for (const LoadTrace& load : loads) {
     const int pid = load.load_index;
-    emit(R"({"name":"process_name","ph":"M","pid":)" + std::to_string(pid) +
-         R"(,"args":{"name":"load )" + std::to_string(pid) + R"("}})");
+    next_event();
+    out += R"({"name":"process_name","ph":"M","pid":)" + std::to_string(pid) +
+           R"(,"args":{"name":"load )" + std::to_string(pid) + R"("}})";
     // Name each (session, layer) lane that actually carries events. An
     // ordered set keeps metadata order deterministic.
     std::map<std::int64_t, std::string> lanes;
@@ -228,24 +187,24 @@ std::string to_chrome_trace(const TraceMeta& meta,
                     lane_name(page.session, Layer::kBrowser));
     }
     for (const auto& [tid, name] : lanes) {
-      emit(R"({"name":"thread_name","ph":"M","pid":)" + std::to_string(pid) +
-           R"(,"tid":)" + fmt_i64(tid) + R"(,"args":{"name":")" +
-           json_escape(name) + R"("}})");
+      next_event();
+      out += R"({"name":"thread_name","ph":"M","pid":)" +
+             std::to_string(pid) + R"(,"tid":)" + std::to_string(tid) +
+             R"(,"args":{"name":")";
+      append_json_escaped(out, name);
+      out += R"("}})";
     }
     for (const TraceEvent& event : load.buffer.events) {
-      std::string line;
-      append_event_json(line, pid, event);
-      emit(line);
+      next_event();
+      append_event_json(out, pid, event);
     }
     for (const ObjectRecord& object : load.buffer.objects) {
-      std::string line;
-      append_object_span(line, pid, object);
-      emit(line);
+      next_event();
+      append_object_span(out, pid, object);
     }
     for (const PageRecord& page : load.buffer.pages) {
-      std::string line;
-      append_page_span(line, pid, page);
-      emit(line);
+      next_event();
+      append_page_span(out, pid, page);
     }
   }
   out += "]}\n";
@@ -255,12 +214,12 @@ std::string to_chrome_trace(const TraceMeta& meta,
 std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  out += R"({"log":{"version":"1.2","creator":{"name":"mahimahi-obs",)" +
-         std::string(R"("version":"1"},"comment":"experiment=)") +
-         json_escape(meta.experiment) + " cell=" +
-         std::to_string(meta.cell_index) + " label=" +
-         json_escape(meta.cell_label) + " seed=" + fmt_u64(meta.cell_seed) +
-         R"(","pages":[)";
+  out += R"({"log":{"version":"1.2","creator":{"name":"mahimahi-obs",)"
+         R"("version":"1"},"comment":"experiment=)";
+  append_json_escaped(out, meta.experiment);
+  out += " cell=" + std::to_string(meta.cell_index) + " label=";
+  append_json_escaped(out, meta.cell_label);
+  out += " seed=" + std::to_string(meta.cell_seed) + R"(","pages":[)";
   bool first = true;
   for (const LoadTrace& load : loads) {
     for (const PageRecord& page : load.buffer.pages) {
@@ -270,11 +229,12 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       first = false;
       out += R"({"startedDateTime":")" + iso_date(page.started_at) +
              R"(","id":")" + har_page_id(load.load_index, page.session) +
-             R"(","title":")" + json_escape(page.url) +
-             R"(","pageTimings":{"onContentLoad":-1,"onLoad":)" +
-             fmt(to_ms(page.plt), 3) + R"(},"_success":)" +
+             R"(","title":")";
+      append_json_escaped(out, page.url);
+      out += R"(","pageTimings":{"onContentLoad":-1,"onLoad":)" +
+             fixed(to_ms(page.plt), 3) + R"(},"_success":)" +
              (page.success ? "true" : "false") + R"(,"_degraded_plt_ms":)" +
-             fmt(to_ms(page.degraded_plt), 3) + "}";
+             fixed(to_ms(page.degraded_plt), 3) + "}";
     }
   }
   out += R"(],"entries":[)";
@@ -317,23 +277,26 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       }
       out += R"({"pageref":")" + har_page_id(load.load_index, o.session) +
              R"(","startedDateTime":")" + iso_date(o.fetch_start) +
-             R"(","time":)" + fmt(total_ms, 3) +
-             R"(,"request":{"method":"GET","url":")" + json_escape(o.url) +
-             R"(","httpVersion":"HTTP/1.1","cookies":[],"headers":[],)" +
-             R"("queryString":[],"headersSize":-1,"bodySize":0},)" +
+             R"(","time":)" + fixed(total_ms, 3) +
+             R"(,"request":{"method":"GET","url":")";
+      append_json_escaped(out, o.url);
+      out += R"(","httpVersion":"HTTP/1.1","cookies":[],"headers":[],)"
+             R"("queryString":[],"headersSize":-1,"bodySize":0},)"
              R"("response":{"status":)" + std::to_string(o.status) +
-             R"(,"statusText":"","httpVersion":"HTTP/1.1","cookies":[],)" +
-             R"("headers":[],"content":{"size":)" + fmt_u64(o.bytes) +
-             R"(,"mimeType":")" + json_escape(o.kind) +
-             R"("},"redirectURL":"","headersSize":-1,"bodySize":)" +
-             fmt_u64(o.bytes) + R"(},"cache":{},"timings":{"blocked":)" +
-             fmt(blocked_ms, 3) + R"(,"dns":)" + fmt(dns_ms, 3) +
-             R"(,"connect":)" + fmt(connect_ms, 3) +
-             R"(,"ssl":-1,"send":0,"wait":)" + fmt(wait_ms, 3) +
-             R"(,"receive":)" + fmt(receive_ms, 3) + R"(},"_attempts":)" +
+             R"(,"statusText":"","httpVersion":"HTTP/1.1","cookies":[],)"
+             R"("headers":[],"content":{"size":)" + std::to_string(o.bytes) +
+             R"(,"mimeType":")";
+      append_json_escaped(out, o.kind);
+      out += R"("},"redirectURL":"","headersSize":-1,"bodySize":)" +
+             std::to_string(o.bytes) + R"(},"cache":{},"timings":{"blocked":)" +
+             fixed(blocked_ms, 3) + R"(,"dns":)" + fixed(dns_ms, 3) +
+             R"(,"connect":)" + fixed(connect_ms, 3) +
+             R"(,"ssl":-1,"send":0,"wait":)" + fixed(wait_ms, 3) +
+             R"(,"receive":)" + fixed(receive_ms, 3) + R"(},"_attempts":)" +
              std::to_string(o.attempts) + R"(,"_failed":)" +
-             (o.failed ? "true" : "false") + R"(,"_error":")" +
-             json_escape(o.error) + R"("})";
+             (o.failed ? "true" : "false") + R"(,"_error":")";
+      append_json_escaped(out, o.error);
+      out += R"("})";
     }
   }
   out += "]}}\n";
@@ -353,38 +316,43 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   };
   out += "# mahimahi-obs-trace-v1 experiment=" + sanitize(meta.experiment) +
          " cell=" + std::to_string(meta.cell_index) + " label=" +
-         sanitize(meta.cell_label) + " seed=" + fmt_u64(meta.cell_seed) + "\n";
+         sanitize(meta.cell_label) + " seed=" +
+         std::to_string(meta.cell_seed) + "\n";
   out += "load,session,t_us,layer,kind,flow,value,metric,label,detail\n";
   for (const LoadTrace& load : loads) {
     const std::string prefix = std::to_string(load.load_index) + ",";
     for (const TraceEvent& e : load.buffer.events) {
-      out += prefix + std::to_string(e.session) + "," + fmt_i64(e.at) + "," +
-             std::string(to_string(e.layer)) + "," +
-             std::string(to_string(e.kind)) + "," + fmt_u64(e.flow) + "," +
-             fmt_u64(e.value) + "," + fmt(e.metric, 6) + "," +
+      out += prefix + std::to_string(e.session) + "," +
+             std::to_string(e.at) + "," + std::string(to_string(e.layer)) +
+             "," + std::string(to_string(e.kind)) + "," +
+             std::to_string(e.flow) + "," + std::to_string(e.value) + "," +
+             fixed(e.metric, 6) + "," +
              sanitize(e.label) + ",\n";
     }
     for (const ObjectRecord& o : load.buffer.objects) {
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
       const Microseconds end = o.complete >= 0 ? o.complete : start;
-      out += prefix + std::to_string(o.session) + "," + fmt_i64(start) +
-             ",browser,object,0," + fmt_u64(o.bytes) + "," +
-             fmt(to_ms(end - start), 6) + "," + sanitize(o.url) + "," +
+      out += prefix + std::to_string(o.session) + "," +
+             std::to_string(start) + ",browser,object,0," +
+             std::to_string(o.bytes) + "," +
+             fixed(to_ms(end - start), 6) + "," + sanitize(o.url) + "," +
              "kind=" + sanitize(o.kind) + ";status=" +
              std::to_string(o.status) + ";attempts=" +
              std::to_string(o.attempts) + ";failed=" + (o.failed ? "1" : "0") +
-             ";dns_start_us=" + fmt_i64(o.dns_start) + ";dns_done_us=" +
-             fmt_i64(o.dns_done) + ";connect_us=" + fmt_i64(o.connect_done) +
-             ";request_us=" + fmt_i64(o.request_sent) +
-             ";first_byte_us=" + fmt_i64(o.first_byte) + ";complete_us=" +
-             fmt_i64(o.complete) + ";error=" + sanitize(o.error) + "\n";
+             ";dns_start_us=" + std::to_string(o.dns_start) +
+             ";dns_done_us=" + std::to_string(o.dns_done) +
+             ";connect_us=" + std::to_string(o.connect_done) +
+             ";request_us=" + std::to_string(o.request_sent) +
+             ";first_byte_us=" + std::to_string(o.first_byte) +
+             ";complete_us=" + std::to_string(o.complete) +
+             ";error=" + sanitize(o.error) + "\n";
     }
     for (const PageRecord& p : load.buffer.pages) {
       out += prefix + std::to_string(p.session) + "," +
-             fmt_i64(p.started_at) + ",browser,page,0," +
-             (p.success ? "1" : "0") + "," + fmt(to_ms(p.plt), 6) + "," +
+             std::to_string(p.started_at) + ",browser,page,0," +
+             (p.success ? "1" : "0") + "," + fixed(to_ms(p.plt), 6) + "," +
              sanitize(p.url) + ",degraded_ms=" +
-             fmt(to_ms(p.degraded_plt), 3) + "\n";
+             fixed(to_ms(p.degraded_plt), 3) + "\n";
     }
   }
   return out;

@@ -1,8 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
+
+#include "util/json.hpp"
 
 namespace mahimahi::obs {
 namespace {
@@ -17,33 +18,54 @@ constexpr double kQuarter[4] = {0.5, 0.59460355750136051, 0.70710678118654757,
 // an exact zero is common — e.g. a warm-connection connect phase).
 constexpr std::int32_t kZeroBucket = INT32_MIN;
 
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
+using util::fixed;
 
 void append_histogram_json(std::string& out,
                            const MetricsSnapshot::HistogramStats& h) {
   out += "{\"count\": " + std::to_string(h.count);
-  out += ", \"sum\": " + fmt(h.sum);
-  out += ", \"min\": " + fmt(h.min);
-  out += ", \"max\": " + fmt(h.max);
-  out += ", \"p50\": " + fmt(h.p50);
-  out += ", \"p90\": " + fmt(h.p90);
-  out += ", \"p99\": " + fmt(h.p99) + "}";
+  out += ", \"sum\": " + fixed(h.sum);
+  out += ", \"min\": " + fixed(h.min);
+  out += ", \"max\": " + fixed(h.max);
+  out += ", \"p50\": " + fixed(h.p50);
+  out += ", \"p90\": " + fixed(h.p90);
+  out += ", \"p99\": " + fixed(h.p99) + "}";
+}
+
+/// The one walk over a snapshot's three maps. `document` selects the
+/// mm_metrics layout (schema line, one metric per line); otherwise the
+/// single-line block an experiment report row embeds.
+std::string snapshot_json(const MetricsSnapshot& snap, bool document) {
+  const char* first_item = document ? "\n    " : "";
+  const char* next_item = document ? ",\n    " : ", ";
+  const char* between_sections = document ? ",\n  " : ", ";
+  std::string out =
+      document ? "{\n  \"schema\": \"mahimahi-metrics-v1\",\n  " : "{";
+  const auto section = [&](const char* header, const auto& map,
+                           const auto& append_value) {
+    out += header;
+    bool first = true;
+    for (const auto& [name, value] : map) {
+      out += first ? first_item : next_item;
+      first = false;
+      out += '"';
+      util::append_json_escaped(out, name);
+      out += "\": ";
+      append_value(value);
+    }
+    out += document && !map.empty() ? "\n  }" : "}";
+  };
+  section("\"counters\": {", snap.counters,
+          [&](std::int64_t value) { out += std::to_string(value); });
+  out += between_sections;
+  section("\"gauges\": {", snap.gauges,
+          [&](double value) { out += fixed(value); });
+  out += between_sections;
+  section("\"histograms\": {", snap.histograms,
+          [&](const MetricsSnapshot::HistogramStats& stats) {
+            append_histogram_json(out, stats);
+          });
+  out += document ? "\n}\n" : "}";
+  return out;
 }
 
 }  // namespace
@@ -139,62 +161,12 @@ double Histogram::percentile(double p) const {
 
 // ---- MetricsSnapshot ------------------------------------------------------
 
-std::string MetricsSnapshot::to_json_inline() const {
-  std::string out = "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": " + std::to_string(value);
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": " + fmt(value);
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, stats] : histograms) {
-    out += first ? "" : ", ";
-    first = false;
-    out += "\"" + json_escape(name) + "\": ";
-    append_histogram_json(out, stats);
-  }
-  out += "}}";
-  return out;
+std::string MetricsSnapshot::to_json() const {
+  return snapshot_json(*this, /*document=*/true);
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\n  \"schema\": \"mahimahi-metrics-v1\",\n";
-  out += "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
-  }
-  out += counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + fmt(value);
-  }
-  out += gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, stats] : histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": ";
-    append_histogram_json(out, stats);
-  }
-  out += histograms.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+std::string MetricsSnapshot::to_json_inline() const {
+  return snapshot_json(*this, /*document=*/false);
 }
 
 std::string MetricsSnapshot::to_csv() const {
@@ -211,12 +183,12 @@ std::string MetricsSnapshot::to_csv() const {
     out += sanitize(name) + ",counter,,,,,,,," + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : gauges) {
-    out += sanitize(name) + ",gauge,,,,,,,," + fmt(value) + "\n";
+    out += sanitize(name) + ",gauge,,,,,,,," + fixed(value) + "\n";
   }
   for (const auto& [name, h] : histograms) {
     out += sanitize(name) + ",histogram," + std::to_string(h.count) + "," +
-           fmt(h.sum) + "," + fmt(h.min) + "," + fmt(h.max) + "," +
-           fmt(h.p50) + "," + fmt(h.p90) + "," + fmt(h.p99) + ",\n";
+           fixed(h.sum) + "," + fixed(h.min) + "," + fixed(h.max) + "," +
+           fixed(h.p50) + "," + fixed(h.p90) + "," + fixed(h.p99) + ",\n";
   }
   return out;
 }
@@ -234,14 +206,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
 
 void MetricsRegistry::observe(const std::string& name, double value) {
   histograms_[name].observe(value);
-}
-
-void MetricsRegistry::observe_trace_event(const TraceEvent& event) {
-  std::string name = "events.";
-  name += to_string(event.layer);
-  name += ".";
-  name += to_string(event.kind);
-  ++counters_[name];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -279,6 +243,15 @@ struct PhaseBreakdown {
   double first_byte{0};
   double receive{0};
 };
+
+/// "events.<layer>.<kind>": the per-event counter every event lands in.
+std::string event_counter(const TraceEvent& event) {
+  std::string name = "events.";
+  name += to_string(event.layer);
+  name += ".";
+  name += to_string(event.kind);
+  return name;
+}
 
 PhaseBreakdown object_phases(const ObjectRecord& o) {
   const auto step = [](Microseconds raw, Microseconds previous) {
@@ -319,7 +292,7 @@ void derive_metrics(const TraceBuffer& trace, MetricsRegistry& registry) {
   constexpr Microseconds kBurstGap = 100'000;
 
   for (const TraceEvent& e : trace.events) {
-    registry.observe_trace_event(e);
+    registry.add_counter(event_counter(e));
     switch (e.kind) {
       case EventKind::kEnqueue:
         if (e.flow != 0) {

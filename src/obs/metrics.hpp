@@ -79,21 +79,13 @@ struct MetricsSnapshot {
 };
 
 /// Deterministic named counters/gauges/histograms. Not thread-safe on
-/// purpose: one registry belongs to one deterministic derivation (one cell
-/// merge, or one simulation via Tracer::set_metrics), matching the repo's
-/// one-Rng-per-task convention.
+/// purpose: one registry belongs to one deterministic derivation (one
+/// cell's merge), matching the repo's one-Rng-per-task convention.
 class MetricsRegistry {
  public:
   void add_counter(const std::string& name, std::int64_t delta = 1);
   void set_gauge(const std::string& name, double value);
   void observe(const std::string& name, double value);
-
-  /// Direct-population hook (Tracer::set_metrics): counts the event under
-  /// "events.<layer>.<kind>". Replaying a TraceBuffer's events through
-  /// this function reproduces the live-instrumentation counters exactly —
-  /// the property that lets the experiment runner derive every cell's
-  /// metrics post-hoc from journaled traces.
-  void observe_trace_event(const TraceEvent& event);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
@@ -104,7 +96,7 @@ class MetricsRegistry {
 };
 
 /// Derive the full metric catalog from one load's trace into `registry`:
-///   events.<layer>.<kind>        per-event counters (== direct path)
+///   events.<layer>.<kind>        per-event counters
 ///   objects.* / pages.*          waterfall outcome counters
 ///   queue.residence_us           enqueue→dequeue matched by (queue, pkt id)
 ///   queue.depth_pkts             instantaneous depth at each enqueue

@@ -7,6 +7,8 @@
 #include <map>
 #include <mutex>
 
+#include "util/json.hpp"
+
 namespace mahimahi::obs {
 namespace {
 
@@ -73,18 +75,18 @@ std::string Profiler::report() {
 std::string Profiler::to_json() {
   const std::vector<Entry> entries = snapshot();
   std::string out = "{\n  \"schema\": \"mahimahi-profile-v1\",\n  \"scopes\": [";
-  char buf[224];
+  char buf[160];
   bool first = true;
   for (const Entry& e : entries) {
+    out += first ? "\n    {\"name\": \"" : ",\n    {\"name\": \"";
+    first = false;
+    util::append_json_escaped(out, e.name);
     std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"name\": \"%s\", \"count\": %llu, "
-                  "\"total_ns\": %lld, \"self_ns\": %lld}",
-                  first ? "" : ",", e.name.c_str(),
+                  "\", \"count\": %llu, \"total_ns\": %lld, \"self_ns\": %lld}",
                   static_cast<unsigned long long>(e.count),
                   static_cast<long long>(e.total_ns),
                   static_cast<long long>(e.self_ns));
     out += buf;
-    first = false;
   }
   out += "\n  ]\n}\n";
   return out;

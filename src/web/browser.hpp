@@ -155,6 +155,7 @@ class Browser {
 
  private:
   struct OriginPool;
+  struct PoolEntry;
   struct FetchTask {
     http::Url url;
   };
@@ -192,8 +193,12 @@ class Browser {
   void pump(OriginPool& pool);
   void pump_mux(OriginPool& pool);
   void pump_all();
-  void issue(OriginPool& pool, net::HttpClientConnection& connection,
-             FetchTask task);
+  /// Mark `entry` busy with `task` and send its request.
+  void issue(const std::shared_ptr<PoolEntry>& entry, FetchTask task);
+  /// Run `send` after the main-thread request-issue cost, serialized
+  /// behind earlier issues; at once when the cost is zero.
+  template <typename Send>
+  void schedule_issue(Send&& send);
   void on_response(const http::Url& url, http::Response response);
   void on_object_computed(const http::Url& url, http::ResourceKind kind,
                           std::string body);

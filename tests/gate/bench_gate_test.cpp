@@ -45,6 +45,13 @@ TEST(BenchGate, RejectsWrongSchemaAndMalformedJson) {
       parse_bench_json(
           R"({"schema": "mahimahi-bench-v1", "benchmarks": [{"ns_per_op": 1}]})"),
       std::invalid_argument);
+  // \u escapes: ASCII only, four hex digits.
+  for (const char* name : {R"(\u00e9)", R"(\u00g1)", R"(\u001)"}) {
+    EXPECT_THROW(parse_bench_json(std::string{R"({"schema": "mahimahi-bench-v1",
+        "benchmarks": [{"name": ")"} + name + R"(", "ns_per_op": 1}]})"),
+                 std::invalid_argument)
+        << name;
+  }
 }
 
 TEST(BenchGate, IdenticalMeasurementPasses) {
@@ -137,17 +144,23 @@ TEST(BenchGate, MissingBenchmarkFailsNewBenchmarkDoesNot) {
 
 TEST(BenchGate, BaselineRoundTripsThroughItsSerialization) {
   Baseline baseline = simple_baseline();
+  // Names are free text (spec labels end up in them): quotes, backslashes
+  // and control bytes must survive the write/read cycle.
+  baseline.rows.push_back(BenchRow{"shell say\"hi\" \\ \x01/row", 7.0, 0, 0});
   baseline.tolerances["loop_schedule"] = 0.05;
   baseline.tolerances["fleet_wall_clock"] = -1;
+  baseline.tolerances["say\"hi\"\\tol"] = 0.5;
   const std::string json = make_baseline_json(baseline);
   const Baseline reparsed = parse_baseline_json(json);
   EXPECT_DOUBLE_EQ(reparsed.default_tolerance, baseline.default_tolerance);
   ASSERT_EQ(reparsed.rows.size(), baseline.rows.size());
   EXPECT_EQ(reparsed.rows[0].name, baseline.rows[0].name);
   EXPECT_DOUBLE_EQ(reparsed.rows[0].ns_per_op, baseline.rows[0].ns_per_op);
-  ASSERT_EQ(reparsed.tolerances.size(), 2u);
+  EXPECT_EQ(reparsed.rows[2].name, baseline.rows[2].name);
+  ASSERT_EQ(reparsed.tolerances.size(), 3u);
   EXPECT_DOUBLE_EQ(reparsed.tolerances.at("loop_schedule"), 0.05);
   EXPECT_LT(reparsed.tolerances.at("fleet_wall_clock"), 0);
+  EXPECT_DOUBLE_EQ(reparsed.tolerances.at("say\"hi\"\\tol"), 0.5);
   // And the round-trip is a fixed point (refresh diffs stay minimal).
   EXPECT_EQ(make_baseline_json(reparsed), json);
 }

@@ -1,6 +1,5 @@
 // Unit tests for the metrics layer: histogram bucket math, snapshot
-// determinism, merge independence, the direct-vs-replay equality that the
-// runner's post-hoc derivation rests on, and the derived-metric catalog.
+// determinism, merge independence and the derived-metric catalog.
 
 #include "obs/metrics.hpp"
 
@@ -100,25 +99,27 @@ TEST(MetricsRegistry, SnapshotSerializationsAreDeterministic) {
   EXPECT_EQ(snap.to_json_inline().find('\n'), std::string::npos);
 }
 
-TEST(MetricsRegistry, DirectPathEqualsTraceReplay) {
-  // Live instrumentation: a Tracer wired to a registry counts events as
-  // they happen. Post-hoc: replaying the buffer's events must land on the
-  // exact same counters — the property that makes journal-resumed metric
-  // derivation byte-identical to a live run.
-  MetricsRegistry live;
-  Tracer tracer;
-  tracer.set_metrics(&live);
-  tracer.event(100, Layer::kLink, EventKind::kEnqueue, -1, 1, 3, 0.0, "up");
-  tracer.event(200, Layer::kLink, EventKind::kDequeue, -1, 1, 2, 0.0, "up");
-  tracer.event(300, Layer::kTcp, EventKind::kTcpRetransmit, 0, 1, 1, 0.0, "");
-  const TraceBuffer buffer = tracer.take();
-
-  MetricsRegistry replayed;
-  for (const TraceEvent& event : buffer.events) {
-    replayed.observe_trace_event(event);
-  }
-  EXPECT_EQ(live.snapshot().to_json(), replayed.snapshot().to_json());
-  EXPECT_EQ(live.snapshot().counters.at("events.link.enqueue"), 1);
+TEST(MetricsSnapshot, DocumentAndInlineLayoutsArePinned) {
+  MetricsSnapshot snap;
+  snap.counters = {{"a", 1}, {"b\"\n", 2}};
+  snap.histograms["h"] = {1, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0};
+  const std::string histogram =
+      "{\"count\": 1, \"sum\": 2.000000, \"min\": 2.000000, "
+      "\"max\": 2.000000, \"p50\": 2.000000, \"p90\": 2.000000, "
+      "\"p99\": 2.000000}";
+  EXPECT_EQ(snap.to_json(),
+            "{\n  \"schema\": \"mahimahi-metrics-v1\",\n"
+            "  \"counters\": {\n    \"a\": 1,\n    \"b\\\"\\n\": 2\n  },\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {\n    \"h\": " +
+                histogram + "\n  }\n}\n");
+  EXPECT_EQ(snap.to_json_inline(),
+            "{\"counters\": {\"a\": 1, \"b\\\"\\n\": 2}, \"gauges\": {}, "
+            "\"histograms\": {\"h\": " +
+                histogram + "}}");
+  EXPECT_EQ(MetricsSnapshot{}.to_json(),
+            "{\n  \"schema\": \"mahimahi-metrics-v1\",\n  \"counters\": {},\n"
+            "  \"gauges\": {},\n  \"histograms\": {}\n}\n");
 }
 
 std::vector<LoadTrace> waterfall_loads() {
@@ -161,6 +162,11 @@ std::vector<LoadTrace> waterfall_loads() {
 
 TEST(DeriveMetrics, CatalogCoversQueueTcpPltAndFaults) {
   const MetricsSnapshot snap = derive_cell_metrics(waterfall_loads());
+
+  // Every event lands in its events.<layer>.<kind> counter.
+  EXPECT_EQ(snap.counters.at("events.link.enqueue"), 1);
+  EXPECT_EQ(snap.counters.at("events.link.dequeue"), 1);
+  EXPECT_EQ(snap.counters.at("events.tcp.retransmit"), 3);
 
   EXPECT_EQ(snap.counters.at("objects.count"), 2);
   EXPECT_EQ(snap.counters.at("objects.retried"), 1);
