@@ -82,9 +82,16 @@ web::BrowserConfig session_browser_config(const SessionConfig& config) {
   return browser;
 }
 
-replay::OriginServerSet::Options session_origin_options(
-    const SessionConfig& config,
-    const replay::OriginServerSet::Options& base) {
+// --- ReplayNamespace / ReplayWorld ----------------------------------------
+
+namespace {
+
+/// Replay origin-server options for one namespace: `base` with the
+/// session-level tracing and congestion-control override applied to the
+/// server side of every flow, and the fault plan when it is active.
+replay::OriginServerSet::Options origin_options(
+    const SessionConfig& config, const replay::OriginServerSet::Options& base,
+    const fault::FaultPlan& plan) {
   replay::OriginServerSet::Options options = base;
   options.tcp.tracer = config.tracer;
   options.tcp.trace_session = config.trace_session;
@@ -94,65 +101,70 @@ replay::OriginServerSet::Options session_origin_options(
   if (!config.cc_fleet.empty()) {
     options.cc_fleet = config.cc_fleet;
   }
+  if (plan.active()) {
+    options.fault = plan;
+  }
   return options;
 }
 
-// --- ReplayWorld ---------------------------------------------------------
+}  // namespace
+
+// The fault spec is bound to a seed forked from the root (fork is const,
+// so a fault-free session draws nothing extra). ReplayShell: one server
+// per recorded (IP, port) — or the single-server ablation — plus a local
+// DNS (dnsmasq equivalent).
+ReplayNamespace::ReplayNamespace(net::EventLoop& loop,
+                                 const record::RecordStore& store,
+                                 const SessionConfig& config,
+                                 const replay::OriginServerSet::Options& options,
+                                 const util::Rng& seed_root,
+                                 util::Rng& shell_rng)
+    : plan_{config.fault, seed_root.fork("fault-plan").next()},
+      fabric_{loop},
+      servers_{fabric_, store, origin_options(config, options, plan_)},
+      dns_server_{fabric_,
+                  net::Address{fabric_.allocate_server_ip(), net::kDnsPort},
+                  servers_.dns_table()} {
+  dns_server_.set_tracer(config.tracer, config.trace_session);
+  if (plan_.spec().dns.any()) {
+    dns_server_.set_fault_hook([plan = plan_](std::uint64_t query_index) {
+      return plan.dns_query_fault(query_index);
+    });
+  }
+
+  // Fault elements sit innermost (application side, chain index 0): the
+  // flap blackhole and corruption hit browser traffic before any shell.
+  if (plan_.spec().flap.has_value()) {
+    const auto& flap = *plan_.spec().flap;
+    auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
+                                              flap.offset);
+    box->set_tracer(config.tracer, config.trace_session);
+    fabric_.chain().push_back(std::move(box));
+  }
+  if (plan_.spec().corrupt.has_value()) {
+    auto box = std::make_unique<net::CorruptBox>(plan_.plan_seed(),
+                                                 plan_.spec().corrupt->rate);
+    box->set_tracer(config.tracer, config.trace_session, &loop);
+    fabric_.chain().push_back(std::move(box));
+  }
+
+  // Nested shells between the application and the replayed servers.
+  apply_shells(fabric_, config.shells, config.host, shell_rng, config.tracer,
+               config.trace_session);
+}
 
 ReplayWorld::ReplayWorld(net::EventLoop& loop,
                          const record::RecordStore& store,
                          const SessionConfig& config,
                          const replay::OriginServerSet::Options& options,
                          int load_index) {
+  // One load stream seeds the fault plan, then drives the shells, then
+  // forks the browser's.
   util::Rng rng = session_load_rng(config, load_index);
-
-  fabric_ = std::make_unique<net::Fabric>(loop);
-
-  // Fault plan for this load: the spec bound to a seed forked from the
-  // load RNG (fork is const, so a fault-free session draws nothing extra).
-  const fault::FaultPlan plan{config.fault, rng.fork("fault-plan").next()};
-
-  // ReplayShell: one server per recorded (IP, port) — or the
-  // single-server ablation — plus a local DNS (dnsmasq equivalent). The
-  // session-level congestion-control override reaches both flow ends.
-  replay::OriginServerSet::Options origin_options =
-      session_origin_options(config, options);
-  if (plan.active()) {
-    origin_options.fault = plan;
-  }
-  servers_ = std::make_unique<replay::OriginServerSet>(*fabric_, store,
-                                                       origin_options);
-
-  const net::Ipv4 dns_ip = fabric_->allocate_server_ip();
-  dns_server_ = std::make_unique<net::DnsServer>(
-      *fabric_, net::Address{dns_ip, net::kDnsPort}, servers_->dns_table());
-  dns_server_->set_tracer(config.tracer, config.trace_session);
-  if (plan.spec().dns.any()) {
-    dns_server_->set_fault_hook(
-        [plan](std::uint64_t query_index) { return plan.dns_query_fault(query_index); });
-  }
-
-  // Fault elements sit innermost (application side, chain index 0): the
-  // flap blackhole and corruption hit browser traffic before any shell.
-  if (plan.spec().flap.has_value()) {
-    const auto& flap = *plan.spec().flap;
-    auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
-                                              flap.offset);
-    box->set_tracer(config.tracer, config.trace_session);
-    fabric_->chain().push_back(std::move(box));
-  }
-  if (plan.spec().corrupt.has_value()) {
-    auto box = std::make_unique<net::CorruptBox>(plan.plan_seed(),
-                                                 plan.spec().corrupt->rate);
-    box->set_tracer(config.tracer, config.trace_session, &loop);
-    fabric_->chain().push_back(std::move(box));
-  }
-
-  // Nested shells between the application and the replayed servers.
-  apply_shells(*fabric_, config.shells, config.host, rng, config.tracer,
-               config.trace_session);
-
-  browser_ = std::make_unique<web::Browser>(*fabric_, dns_server_->address(),
+  namespace_ = std::make_unique<ReplayNamespace>(loop, store, config, options,
+                                                 rng, rng);
+  browser_ = std::make_unique<web::Browser>(namespace_->fabric(),
+                                            namespace_->dns_address(),
                                             session_browser_config(config),
                                             rng.fork("browser"));
 }

@@ -71,16 +71,41 @@ class WatchdogError : public std::runtime_error {
 /// fleet) when set.
 web::BrowserConfig session_browser_config(const SessionConfig& config);
 
-/// Replay origin-server options for one session: `base` with the
-/// session-level congestion-control override applied to the server side
-/// of every flow.
-replay::OriginServerSet::Options session_origin_options(
-    const SessionConfig& config, const replay::OriginServerSet::Options& base);
-
 /// Root random stream for one load of a session: (seed, machine salt,
 /// load index) — fixed before any simulation work, per the ParallelRunner
 /// determinism contract.
 util::Rng session_load_rng(const SessionConfig& config, int load_index);
+
+/// The replay namespace a world is built from, in this order: fault plan
+/// → origin-server farm → DNS → flap/corrupt boxes → nested shells, all on
+/// a *caller-owned* event loop. Every layer traces as
+/// `config.trace_session`; the fault plan's seed forks from `seed_root`
+/// and the shells draw from `shell_rng`. A ReplayWorld adds one browser;
+/// a shared-world fleet::SessionMux puts many browsers in one namespace.
+class ReplayNamespace {
+ public:
+  ReplayNamespace(net::EventLoop& loop, const record::RecordStore& store,
+                  const SessionConfig& config,
+                  const replay::OriginServerSet::Options& options,
+                  const util::Rng& seed_root, util::Rng& shell_rng);
+
+  ReplayNamespace(const ReplayNamespace&) = delete;
+  ReplayNamespace& operator=(const ReplayNamespace&) = delete;
+
+  [[nodiscard]] net::Fabric& fabric() { return fabric_; }
+  [[nodiscard]] const replay::OriginServerSet& servers() const {
+    return servers_;
+  }
+  [[nodiscard]] net::Address dns_address() const {
+    return dns_server_.address();
+  }
+
+ private:
+  fault::FaultPlan plan_;
+  net::Fabric fabric_;
+  replay::OriginServerSet servers_;
+  net::DnsServer dns_server_;
+};
 
 /// One replay session's fully-materialized namespace stack — origin
 /// server farm, DNS, nested shells and browser — on a *caller-owned*
@@ -99,15 +124,13 @@ class ReplayWorld {
   ReplayWorld& operator=(const ReplayWorld&) = delete;
 
   [[nodiscard]] web::Browser& browser() { return *browser_; }
-  [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
+  [[nodiscard]] net::Fabric& fabric() { return namespace_->fabric(); }
   [[nodiscard]] const replay::OriginServerSet& servers() const {
-    return *servers_;
+    return namespace_->servers();
   }
 
  private:
-  std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<replay::OriginServerSet> servers_;
-  std::unique_ptr<net::DnsServer> dns_server_;
+  std::unique_ptr<ReplayNamespace> namespace_;
   std::unique_ptr<web::Browser> browser_;
 };
 

@@ -2,10 +2,12 @@
 
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::experiment {
 namespace {
 
+using util::csv_field;
 using util::fixed;
 
 /// Appends `key` (a literal that opens the value's quotes), `value` escaped
@@ -133,9 +135,12 @@ std::string Report::to_csv() const {
   out += "\n";
   for (const CellResult& cell : cells) {
     out += std::to_string(cell.index) + ",";
-    out += cell.site + "," + cell.protocol + "," + cell.shell + "," +
-           cell.queue + "," + cell.cc + "," + cell.fleet + "," +
-           std::to_string(cell.fleet_sessions) + ",";
+    // Label columns come from the spec; none may add a field or a row.
+    for (const std::string* label : {&cell.site, &cell.protocol, &cell.shell,
+                                     &cell.queue, &cell.cc, &cell.fleet}) {
+      out += csv_field(*label) + ",";
+    }
+    out += std::to_string(cell.fleet_sessions) + ",";
     out += std::to_string(cell.plt_ms.size()) + ",";
     out += std::to_string(cell.failed_loads) + ",";
     const util::Samples& plt = cell.plt_ms;
@@ -152,13 +157,13 @@ std::string Report::to_csv() const {
         shares += shares.empty() ? "" : "|";
         shares += flow.controller + ":" + fixed(flow.share, 4);
       }
-      out += shares;
+      out += csv_field(std::move(shares));
     } else {
       out += ",,";
     }
     if (fault_axis) {
       const util::Samples& deg = cell.degraded_plt_ms;
-      out += "," + cell.fault;
+      out += "," + csv_field(cell.fault);
       out += "," + std::to_string(cell.objects_failed);
       out += "," + std::to_string(cell.retries);
       out += "," + std::to_string(cell.timeouts);

@@ -4,9 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "net/dns.hpp"
-#include "net/element.hpp"
-#include "net/fabric.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
 
@@ -50,83 +47,24 @@ std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes) {
   return out;
 }
 
-/// The one namespace every session of a shared-world mux lives in: one
-/// fabric, one shell stack, one origin-server farm, one DNS. Browsers are
-/// per-session; everything they contend for is here.
-struct SessionMux::SharedWorld {
-  /// The shared world's fault plan forks from the fleet seed, like its
-  /// shells: faults belong to the world, not to any one user, so every
-  /// session observes the same flap/crash/DNS schedule regardless of
-  /// sharding (a shared world never splits across muxes).
-  static std::uint64_t fault_plan_seed(const MuxConfig& config) {
-    util::Rng rng{config.fleet_seed ^ config.session.host.seed_salt};
-    return rng.fork("fault-plan").next();
-  }
-
-  static replay::OriginServerSet::Options origin_options(
-      const MuxConfig& config, const fault::FaultPlan& plan) {
-    // Shared infrastructure — origin servers, DNS, shells, fault boxes —
-    // belongs to no one session: its trace events carry session -1.
-    core::SessionConfig shared_session = config.session;
-    shared_session.trace_session = -1;
-    replay::OriginServerSet::Options options =
-        core::session_origin_options(shared_session, config.origin);
-    if (plan.active()) {
-      options.fault = plan;
-    }
-    return options;
-  }
-
-  SharedWorld(net::EventLoop& loop, const record::RecordStore& store,
-              const MuxConfig& config)
-      : plan{config.session.fault, fault_plan_seed(config)},
-        fabric{loop},
-        servers{fabric, store, origin_options(config, plan)},
-        dns_server{fabric,
-                   net::Address{fabric.allocate_server_ip(), net::kDnsPort},
-                   servers.dns_table()} {
-    dns_server.set_tracer(config.session.tracer, -1);
-    if (plan.spec().dns.any()) {
-      dns_server.set_fault_hook([p = plan](std::uint64_t query_index) {
-        return p.dns_query_fault(query_index);
-      });
-    }
-    // Fault elements sit innermost, before any shell — same layering as
-    // ReplayWorld, so a fault spec means the same thing in both modes.
-    if (plan.spec().flap.has_value()) {
-      const auto& flap = *plan.spec().flap;
-      auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
-                                                flap.offset);
-      box->set_tracer(config.session.tracer, -1);
-      fabric.chain().push_back(std::move(box));
-    }
-    if (plan.spec().corrupt.has_value()) {
-      auto box = std::make_unique<net::CorruptBox>(
-          plan.plan_seed(), plan.spec().corrupt->rate);
-      box->set_tracer(config.session.tracer, -1, &loop);
-      fabric.chain().push_back(std::move(box));
-    }
-    // The shared stack's randomness forks from the fleet seed, not from
-    // any session: shells belong to the world, not to a user.
-    util::Rng rng{config.fleet_seed ^ config.session.host.seed_salt};
-    util::Rng shell_rng = rng.fork("shared-world-shells");
-    core::apply_shells(fabric, config.session.shells, config.session.host,
-                       shell_rng, config.session.tracer, -1);
-  }
-
-  fault::FaultPlan plan;
-  net::Fabric fabric;
-  replay::OriginServerSet servers;
-  net::DnsServer dns_server;
-};
-
 SessionMux::SessionMux(const record::RecordStore& store, std::string url,
                        MuxConfig config)
     : store_{store}, url_{std::move(url)}, config_{std::move(config)} {
   MAHI_ASSERT_MSG(config_.stagger >= 0, "fleet stagger must be >= 0");
   loop_.set_event_limit(config_.event_limit);
   if (config_.shared_world) {
-    shared_ = std::make_unique<SharedWorld>(loop_, store_, config_);
+    // The one namespace every session lives in: one fabric, one shell
+    // stack, one origin-server farm, one DNS; browsers are per-session.
+    // It belongs to no one user, so its trace events carry session -1,
+    // and its fault plan and shells fork from the fleet seed: every
+    // session observes the same flap/crash/DNS schedule regardless of
+    // sharding (a shared world never splits across muxes).
+    core::SessionConfig world = config_.session;
+    world.trace_session = -1;
+    const util::Rng root{config_.fleet_seed ^ config_.session.host.seed_salt};
+    util::Rng shell_rng = root.fork("shared-world-shells");
+    shared_ = std::make_unique<core::ReplayNamespace>(
+        loop_, store_, world, config_.origin, root, shell_rng);
   }
 }
 
@@ -156,7 +94,7 @@ void SessionMux::admit(Slot& slot) {
   core::SessionConfig session = config_.session;
   session.seed = slot.session_seed;
   // Trace attribution: this session's events carry its global fleet index
-  // (shared infrastructure logs as -1; see SharedWorld).
+  // (shared infrastructure logs as -1; see the constructor).
   session.trace_session = slot.global_index;
 
   auto on_done = [this, &slot](web::PageLoadResult result) {
@@ -168,7 +106,7 @@ void SessionMux::admit(Slot& slot) {
     // user population is reproducible independent of arrival interleaving.
     util::Rng rng = core::session_load_rng(session, 0);
     slot.browser = std::make_unique<web::Browser>(
-        shared_->fabric, shared_->dns_server.address(),
+        shared_->fabric(), shared_->dns_address(),
         core::session_browser_config(session), rng.fork("browser"));
     slot.browser->load(url_, std::move(on_done));
   } else {

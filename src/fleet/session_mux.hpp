@@ -127,9 +127,6 @@ class SessionMux {
     bool done{false};
   };
 
-  /// The shared namespace (shared_world mode only).
-  struct SharedWorld;
-
   void admit(Slot& slot);
   void complete(Slot& slot, web::PageLoadResult result);
 
@@ -137,7 +134,8 @@ class SessionMux {
   std::string url_;
   MuxConfig config_;
   net::EventLoop loop_;
-  std::unique_ptr<SharedWorld> shared_;
+  /// The shared namespace (shared_world mode only).
+  std::unique_ptr<core::ReplayNamespace> shared_;
   std::deque<Slot> slots_;  // stable addresses: admission events hold Slot&
   std::size_t live_{0};
   std::size_t peak_live_{0};

@@ -447,11 +447,9 @@ GateResult check(const Baseline& baseline,
                                  : baseline.default_tolerance;
     const auto it = measured.find(pinned.name);
     if (it == measured.end()) {
-      MetricDelta delta;
-      delta.row = pinned.name;
-      delta.metric = "-";
-      delta.status = MetricStatus::kMissing;
-      result.deltas.push_back(std::move(delta));
+      result.deltas.push_back(MetricDelta{.row = pinned.name,
+                                          .metric = "-",
+                                          .status = MetricStatus::kMissing});
       ++result.missing;
       continue;
     }
@@ -468,12 +466,10 @@ GateResult check(const Baseline& baseline,
   }
   // Rows measured but not pinned: informational, prompting a refresh.
   for (const auto& [name, row] : measured) {
-    MetricDelta delta;
-    delta.row = name;
-    delta.metric = "-";
-    delta.current = row->ns_per_op;
-    delta.status = MetricStatus::kNew;
-    result.deltas.push_back(std::move(delta));
+    result.deltas.push_back(MetricDelta{.row = name,
+                                        .metric = "-",
+                                        .current = row->ns_per_op,
+                                        .status = MetricStatus::kNew});
   }
   return result;
 }

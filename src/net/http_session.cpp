@@ -1,7 +1,5 @@
 #include "net/http_session.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -12,15 +10,8 @@ namespace mahimahi::net {
 HttpServer::HttpServer(Fabric& fabric, Address local, Handler handler,
                        Microseconds processing_delay,
                        TcpConnection::Config config)
-    : fabric_{fabric},
-      handler_{std::move(handler)},
-      processing_delay_{processing_delay},
-      listener_{fabric, local,
-                [this](const std::shared_ptr<TcpConnection>& c) {
-                  return make_callbacks(c);
-                },
-                std::move(config)} {
-  MAHI_ASSERT(handler_ != nullptr);
+    : OriginServer{fabric, local, std::move(handler), processing_delay,
+                   std::move(config)} {
   workers_spawned_ = pool_.initial_workers;
 }
 
@@ -32,7 +23,7 @@ void HttpServer::set_worker_pool(const WorkerPool& pool) {
   workers_spawned_ = pool_.initial_workers;
 }
 
-TcpConnection::Callbacks HttpServer::make_callbacks(
+TcpConnection::Callbacks HttpServer::accept(
     const std::shared_ptr<TcpConnection>& connection) {
   auto session = std::make_shared<Session>();
   session->connection = connection;
@@ -143,67 +134,27 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
   }
   while (session->parser.has_message()) {
     const http::Request request = session->parser.pop();
-    ServerFault fault;
-    if (fault_hook_) {
-      fault = fault_hook_(requests_seen_);
-    }
-    ++requests_seen_;
-    if (fault.kind == ServerFault::Kind::kStall) {
-      // Accept-and-stall: the request is swallowed, no response ever comes,
-      // and the worker stays pinned (a hung Apache child).
-      ++faults_injected_;
-      continue;
-    }
     const bool keep_alive = request.keep_alive();
-    http::Response response = handler_(request);
-    http::finalize_content_length(response);
-    ++requests_served_;
-    if (observer_) {
-      observer_(request, response);
-    }
-    std::string wire = http::to_bytes(response);
-    const Microseconds delay = processing_delay_ + fault.extra_delay;
-    if (fault.kind == ServerFault::Kind::kCrash) {
-      // Crash mid-response: emit a prefix of the wire bytes, then RST.
-      // The crashed worker's slot is freed (the process died).
-      ++faults_injected_;
-      const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(wire.size()) * fraction);
-      wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
-      const std::weak_ptr<TcpConnection> weak = session->connection;
-      auto crash = [this, weak, session, wire = std::move(wire)] {
-        if (const auto conn = weak.lock()) {
-          conn->send(wire);
-          conn->abort();
-        }
-        release_worker(session);
-      };
-      if (delay > 0) {
-        fabric_.loop().schedule_in(delay, std::move(crash));
-      } else {
-        crash();
-      }
-      return;  // the connection is (about to be) gone
-    }
-    if (delay > 0) {
-      // Simulated server think time (first-byte latency); overlaps freely
-      // across requests.
-      const std::weak_ptr<TcpConnection> weak = session->connection;
-      fabric_.loop().schedule_in(
-          delay, [weak, wire = std::move(wire), keep_alive] {
-            if (const auto conn = weak.lock()) {
-              conn->send(wire);
-              if (!keep_alive) {
-                conn->close();
-              }
+    const bool open = serve(
+        request,
+        [weak = session->connection, keep_alive](std::string wire) {
+          if (const auto conn = weak.lock()) {
+            conn->send(std::move(wire));
+            if (!keep_alive) {
+              conn->close();
             }
-          });
-    } else {
-      connection->send(std::move(wire));
-      if (!keep_alive) {
-        connection->close();
-      }
+          }
+        },
+        [this, session](std::string prefix) {
+          // The crashed worker's slot is freed (the process died).
+          if (const auto conn = session->connection.lock()) {
+            conn->send(std::move(prefix));
+            conn->abort();
+          }
+          release_worker(session);
+        });
+    if (!open) {
+      return;
     }
   }
 }
@@ -213,55 +164,11 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
 HttpClientConnection::HttpClientConnection(Fabric& fabric, Address server,
                                            ErrorCallback on_error,
                                            TcpConnection::Config config)
-    : fabric_{fabric},
-      on_error_{std::move(on_error)},
-      client_{fabric, server,
-              TcpConnection::Callbacks{
-                  .on_connected =
-                      [this] {
-                        connected_ = true;
-                        notify_connected();
-                        maybe_send_next();
-                      },
-                  .on_data = [this](std::string_view bytes) { on_data(bytes); },
-                  .on_peer_close =
-                      [this] {
-                        // Server closed: completes read-until-close bodies.
-                        parser_.on_close();
-                        on_data({});
-                        if (outstanding_ > 0 || !queue_.empty()) {
-                          fail("connection closed by server");
-                        } else {
-                          alive_ = false;
-                        }
-                      },
-                  .on_reset =
-                      [this] {
-                        // Typed close reason from TCP: a deadline-driven
-                        // resilience layer treats "server crashed" and
-                        // "network unreachable" differently.
-                        switch (client_.connection().close_reason()) {
-                          case TcpConnection::CloseReason::kSynTimeout:
-                          case TcpConnection::CloseReason::kRetransmitExhausted:
-                            fail(std::string{to_string(
-                                client_.connection().close_reason())});
-                            break;
-                          default:
-                            fail("connection reset");
-                            break;
-                        }
-                      }},
-              config} {}
+    : ClientConnection{fabric, server, std::move(on_error), std::move(config),
+                       "fetch on dead connection"} {}
 
-void HttpClientConnection::fetch(http::Request request,
+void HttpClientConnection::issue(http::Request request,
                                  ResponseCallback callback, FetchHooks hooks) {
-  MAHI_ASSERT(callback != nullptr);
-  if (!alive_) {
-    if (on_error_) {
-      on_error_("fetch on dead connection");
-    }
-    return;
-  }
   queue_.push_back(PendingRequest{std::move(request), std::move(callback),
                                   std::move(hooks)});
   maybe_send_next();
@@ -271,29 +178,39 @@ void HttpClientConnection::close_when_idle() {
   close_when_idle_ = true;
   if (idle() && alive_) {
     alive_ = false;
-    client_.connection().close();
+    tcp().close();
   }
 }
 
 void HttpClientConnection::abort() {
   alive_ = false;
+  drop_requests();
+  tcp().abort();
+}
+
+void HttpClientConnection::drop_requests() {
   outstanding_ = 0;
   queue_.clear();
   in_flight_callbacks_.clear();
   current_hooks_ = {};
-  client_.connection().abort();
 }
 
-void HttpClientConnection::notify_connected() {
+void HttpClientConnection::on_handshake() {
   // Every queued request was waiting on this handshake (requests only
   // queue pre-connect or behind an outstanding response, and the latter
-  // implies an established connection). Fire-once per hook set.
+  // implies an established connection).
   for (PendingRequest& pending : queue_) {
-    if (pending.hooks.on_connected) {
-      auto connected = std::move(pending.hooks.on_connected);
-      pending.hooks.on_connected = nullptr;
-      connected();
-    }
+    fire_once(pending.hooks.on_connected);
+  }
+  maybe_send_next();
+}
+
+void HttpClientConnection::on_server_close() {
+  // Server closed: completes read-until-close bodies.
+  parser_.on_close();
+  on_data({});
+  if (!idle()) {
+    fail("connection closed by server");
   }
 }
 
@@ -308,19 +225,17 @@ void HttpClientConnection::maybe_send_next() {
   in_flight_callbacks_.push_back(std::move(next.callback));
   current_hooks_ = std::move(next.hooks);
   outstanding_ = 1;
-  client_.connection().send(http::to_bytes(next.request));
+  tcp().send(http::to_bytes(next.request));
   if (current_hooks_.on_sent) {
     current_hooks_.on_sent();
   }
 }
 
 void HttpClientConnection::on_data(std::string_view bytes) {
-  if (!bytes.empty() && outstanding_ > 0 && current_hooks_.on_first_byte) {
+  if (!bytes.empty() && outstanding_ > 0) {
     // First response bytes for the outstanding request (no pipelining, so
-    // any arriving data belongs to it). Fire once, then disarm.
-    auto first_byte = std::move(current_hooks_.on_first_byte);
-    current_hooks_.on_first_byte = nullptr;
-    first_byte();
+    // any arriving data belongs to it).
+    fire_once(current_hooks_.on_first_byte);
   }
   if (!bytes.empty()) {
     parser_.push(bytes);
@@ -340,7 +255,7 @@ void HttpClientConnection::on_data(std::string_view bytes) {
     callback(std::move(response));
     if (server_closing) {
       alive_ = false;
-      client_.connection().close();
+      tcp().close();
       if (!queue_.empty()) {
         fail("server closed with requests queued");
       }
@@ -350,21 +265,7 @@ void HttpClientConnection::on_data(std::string_view bytes) {
   }
   if (close_when_idle_ && idle() && alive_) {
     alive_ = false;
-    client_.connection().close();
-  }
-}
-
-void HttpClientConnection::fail(const std::string& reason) {
-  if (!alive_ && outstanding_ == 0 && queue_.empty()) {
-    return;
-  }
-  alive_ = false;
-  outstanding_ = 0;
-  queue_.clear();
-  in_flight_callbacks_.clear();
-  current_hooks_ = {};
-  if (on_error_) {
-    on_error_(reason);
+    tcp().close();
   }
 }
 

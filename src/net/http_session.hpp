@@ -1,14 +1,11 @@
 #pragma once
 
-#include <functional>
+#include <deque>
 #include <memory>
 #include <string>
 
-#include "http/message.hpp"
 #include "http/parser.hpp"
-#include "net/fault_hooks.hpp"
-#include "net/fetch_hooks.hpp"
-#include "net/tcp.hpp"
+#include "net/stream_transport.hpp"
 
 namespace mahimahi::net {
 
@@ -33,18 +30,8 @@ struct WorkerPool {
 /// upstream origins (LiveWeb) and ReplayShell's origin servers are built
 /// on this. `processing_delay` is pure per-request latency (think time);
 /// connection concurrency is governed by the WorkerPool.
-class HttpServer {
+class HttpServer final : public OriginServer {
  public:
-  /// Maps a request to its response. Runs once per complete request.
-  using Handler = std::function<http::Response(const http::Request&)>;
-
-  /// Called for every request after the response is computed — the hook
-  /// RecordShell's proxy uses to store request/response pairs.
-  using Observer =
-      std::function<void(const http::Request&, const http::Response&)>;
-
-  /// `config` applies to every accepted connection — notably the
-  /// congestion controller serving this origin's responses.
   HttpServer(Fabric& fabric, Address local, Handler handler,
              Microseconds processing_delay = 0,
              TcpConnection::Config config = {});
@@ -52,23 +39,8 @@ class HttpServer {
   /// Install prefork-style concurrency limits. Call before traffic arrives.
   void set_worker_pool(const WorkerPool& pool);
 
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  [[nodiscard]] Address address() const { return listener_.local_address(); }
-  [[nodiscard]] std::uint64_t requests_served() const { return requests_served_; }
-  [[nodiscard]] std::size_t active_connections() const {
-    return listener_.active_connections();
-  }
-  [[nodiscard]] std::uint64_t total_accepted() const {
-    return listener_.total_accepted();
-  }
   /// Connections that had to wait for a worker (starvation indicator).
   [[nodiscard]] std::uint64_t worker_waits() const { return worker_waits_; }
-  [[nodiscard]] std::uint64_t faults_injected() const { return faults_injected_; }
-
-  /// Fault injection: consulted once per parsed request (indexed in parse
-  /// order, including requests that end up faulted). Null = no faults.
-  void set_fault_hook(ServerFaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
   struct Session {
@@ -79,8 +51,8 @@ class HttpServer {
     bool worker_released{false};
   };
 
-  TcpConnection::Callbacks make_callbacks(
-      const std::shared_ptr<TcpConnection>& connection);
+  TcpConnection::Callbacks accept(
+      const std::shared_ptr<TcpConnection>& connection) override;
   void on_data(const std::shared_ptr<Session>& session, std::string_view bytes);
   void drain_requests(const std::shared_ptr<Session>& session);
   void request_worker(const std::shared_ptr<Session>& session);
@@ -88,43 +60,22 @@ class HttpServer {
   void grant_workers();
   void arm_spawn_timer();
 
-  Fabric& fabric_;
-  Handler handler_;
-  Observer observer_;
-  Microseconds processing_delay_;
   WorkerPool pool_;
   int workers_spawned_{0};   // current pool size
   int workers_busy_{0};
   std::deque<std::shared_ptr<Session>> waiting_;
   EventLoop::EventId spawn_event_{0};
   std::uint64_t worker_waits_{0};
-  std::uint64_t requests_served_{0};
-  std::uint64_t requests_seen_{0};  // fault-hook index (includes faulted)
-  std::uint64_t faults_injected_{0};
-  ServerFaultHook fault_hook_;
-  TcpListener listener_;  // must outlive nothing: declared last
 };
 
 /// One HTTP/1.1 client connection over simulated TCP with keep-alive and
 /// request queuing (no pipelining: the next request goes out when the
 /// previous response has fully arrived — matching 2014 browsers).
-class HttpClientConnection {
+class HttpClientConnection final : public ClientConnection {
  public:
-  using ResponseCallback = std::function<void(http::Response)>;
-  /// Connection failed or died before/while a request was outstanding.
-  using ErrorCallback = std::function<void(const std::string& reason)>;
-
   HttpClientConnection(Fabric& fabric, Address server,
                        ErrorCallback on_error = {},
                        TcpConnection::Config config = {});
-
-  HttpClientConnection(const HttpClientConnection&) = delete;
-  HttpClientConnection& operator=(const HttpClientConnection&) = delete;
-
-  /// Queue a request; `callback` fires with the complete response.
-  /// `hooks` (optional) observe the request's transport edges.
-  void fetch(http::Request request, ResponseCallback callback,
-             FetchHooks hooks = {});
 
   /// Half-close after the queue drains (Connection: close semantics).
   void close_when_idle();
@@ -134,11 +85,6 @@ class HttpClientConnection {
   void abort();
 
   [[nodiscard]] bool idle() const { return outstanding_ == 0 && queue_.empty(); }
-  [[nodiscard]] bool alive() const { return alive_; }
-  [[nodiscard]] std::size_t queued() const { return queue_.size() + outstanding_; }
-  [[nodiscard]] const TcpConnection& connection() const {
-    return client_.connection();
-  }
 
  private:
   struct PendingRequest {
@@ -147,23 +93,22 @@ class HttpClientConnection {
     FetchHooks hooks;
   };
 
-  void notify_connected();
+  void issue(http::Request request, ResponseCallback callback,
+             FetchHooks hooks) override;
+  void on_handshake() override;
+  void on_data(std::string_view bytes) override;
+  void on_server_close() override;
+  [[nodiscard]] bool busy() const override { return !idle(); }
+  void drop_requests() override;
   void maybe_send_next();
-  void on_data(std::string_view bytes);
-  void fail(const std::string& reason);
 
-  Fabric& fabric_;
   http::ResponseParser parser_;
   std::deque<PendingRequest> queue_;
   std::deque<ResponseCallback> in_flight_callbacks_;
   /// Hooks of the single outstanding request (no pipelining, so one set).
   FetchHooks current_hooks_;
   std::size_t outstanding_{0};
-  bool connected_{false};
-  bool alive_{true};
   bool close_when_idle_{false};
-  ErrorCallback on_error_;
-  TcpClient client_;  // declared last: its callbacks reference the above
 };
 
 }  // namespace mahimahi::net

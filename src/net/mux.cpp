@@ -101,20 +101,13 @@ Frame FrameParser::pop() {
 MuxServer::MuxServer(Fabric& fabric, Address local, Handler handler,
                      Microseconds processing_delay, std::size_t chunk_bytes,
                      TcpConnection::Config config)
-    : fabric_{fabric},
-      handler_{std::move(handler)},
-      processing_delay_{processing_delay},
-      chunk_bytes_{chunk_bytes},
-      listener_{fabric, local,
-                [this](const std::shared_ptr<TcpConnection>& c) {
-                  return make_callbacks(c);
-                },
-                std::move(config)} {
-  MAHI_ASSERT(handler_ != nullptr);
+    : OriginServer{fabric, local, std::move(handler), processing_delay,
+                   std::move(config)},
+      chunk_bytes_{chunk_bytes} {
   MAHI_ASSERT(chunk_bytes_ > 0);
 }
 
-TcpConnection::Callbacks MuxServer::make_callbacks(
+TcpConnection::Callbacks MuxServer::accept(
     const std::shared_ptr<TcpConnection>& connection) {
   auto session = std::make_shared<Session>();
   session->connection = connection;
@@ -152,61 +145,33 @@ void MuxServer::on_data(const std::shared_ptr<Session>& session,
       MAHI_WARN("mux-server") << "bad request in stream " << frame.stream_id;
       continue;
     }
-    ServerFault fault;
-    if (fault_hook_) {
-      fault = fault_hook_(requests_seen_);
-    }
-    ++requests_seen_;
-    if (fault.kind == ServerFault::Kind::kStall) {
-      // Accept-and-stall: the stream never sees a data frame.
-      ++faults_injected_;
-      continue;
-    }
-    http::Response response = handler_(request_parser.pop());
-    http::finalize_content_length(response);
-    ++requests_served_;
-    const Microseconds delay = processing_delay_ + fault.extra_delay;
-    if (fault.kind == ServerFault::Kind::kCrash) {
-      // Crash mid-response: one partial data frame, then RST. Every other
-      // stream on the connection dies with it — shared-fate, as real.
-      ++faults_injected_;
-      std::string wire = http::to_bytes(response);
-      const double fraction = std::clamp(fault.fraction, 0.0, 1.0);
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(wire.size()) * fraction);
-      wire.resize(std::max<std::size_t>(1, std::min(cut, wire.size())));
-      auto crash = [session, id = frame.stream_id, wire = std::move(wire)] {
-        if (const auto conn = session->connection.lock()) {
-          conn->send(encode_frame_header(
-              id, Frame::Type::kData, static_cast<std::uint32_t>(wire.size())));
-          conn->send(wire);
-          conn->abort();
-        }
-      };
-      if (delay > 0) {
-        fabric_.loop().schedule_in(delay, std::move(crash));
-      } else {
-        crash();
-      }
-      return;  // the connection is (about to be) gone
-    }
-    if (delay > 0) {
-      fabric_.loop().schedule_in(
-          delay, [this, session, id = frame.stream_id,
-                  r = std::move(response)]() mutable {
-            start_response(session, id, std::move(r));
-          });
-    } else {
-      start_response(session, frame.stream_id, std::move(response));
+    const std::uint32_t id = frame.stream_id;
+    const bool open = serve(
+        request_parser.pop(),
+        [this, session, id](std::string wire) {
+          start_response(session, id, std::move(wire));
+        },
+        [session, id](std::string prefix) {
+          // One partial data frame, then RST. Every other stream on the
+          // connection dies with it — shared-fate, as real.
+          if (const auto conn = session->connection.lock()) {
+            conn->send(encode_frame_header(
+                id, Frame::Type::kData,
+                static_cast<std::uint32_t>(prefix.size())));
+            conn->send(std::move(prefix));
+            conn->abort();
+          }
+        });
+    if (!open) {
+      return;
     }
   }
 }
 
 void MuxServer::start_response(const std::shared_ptr<Session>& session,
-                               std::uint32_t stream_id,
-                               http::Response response) {
+                               std::uint32_t stream_id, std::string wire) {
   // One shared buffer per response; every data frame below aliases it.
-  session->pending_streams[stream_id] = Payload{http::to_bytes(response)};
+  session->pending_streams[stream_id] = Payload{std::move(wire)};
   session->next_stream = session->pending_streams.begin();
   pump_writer(session);
 }
@@ -247,60 +212,11 @@ void MuxServer::pump_writer(const std::shared_ptr<Session>& session) {
 MuxClientConnection::MuxClientConnection(Fabric& fabric, Address server,
                                          ErrorCallback on_error,
                                          TcpConnection::Config config)
-    : fabric_{fabric},
-      on_error_{std::move(on_error)},
-      client_{fabric, server,
-              TcpConnection::Callbacks{
-                  .on_connected =
-                      [this] {
-                        connected_ = true;
-                        // Streams opened pre-connect all waited on this
-                        // handshake; later streams find connected_ set and
-                        // never get the callback (warm connection).
-                        for (auto& [id, stream] : streams_) {
-                          if (stream.hooks.on_connected) {
-                            auto cb = std::move(stream.hooks.on_connected);
-                            stream.hooks.on_connected = nullptr;
-                            cb();
-                          }
-                        }
-                        for (auto& frame : queued_frames_) {
-                          client_.connection().send(std::move(frame));
-                        }
-                        queued_frames_.clear();
-                      },
-                  .on_data = [this](std::string_view b) { on_data(b); },
-                  .on_peer_close =
-                      [this] {
-                        if (!streams_.empty()) {
-                          fail("connection closed with streams open");
-                        }
-                        alive_ = false;
-                      },
-                  .on_reset =
-                      [this] {
-                        switch (client_.connection().close_reason()) {
-                          case TcpConnection::CloseReason::kSynTimeout:
-                          case TcpConnection::CloseReason::kRetransmitExhausted:
-                            fail(std::string{to_string(
-                                client_.connection().close_reason())});
-                            break;
-                          default:
-                            fail("connection reset");
-                            break;
-                        }
-                      }},
-              std::move(config)} {}
+    : ClientConnection{fabric, server, std::move(on_error), std::move(config),
+                       "fetch on dead mux connection"} {}
 
-void MuxClientConnection::fetch(http::Request request,
+void MuxClientConnection::issue(http::Request request,
                                 ResponseCallback callback, FetchHooks hooks) {
-  MAHI_ASSERT(callback != nullptr);
-  if (!alive_) {
-    if (on_error_) {
-      on_error_("fetch on dead mux connection");
-    }
-    return;
-  }
   const std::uint32_t id = next_stream_id_++;
   auto& stream = streams_[id];
   stream.callback = std::move(callback);
@@ -318,12 +234,31 @@ void MuxClientConnection::fetch(http::Request request,
   // Copied out first: the stream map must not be touched after send().
   const auto on_sent = stream.hooks.on_sent;
   if (connected_) {
-    client_.connection().send(std::move(wire));
+    tcp().send(std::move(wire));
   } else {
     queued_frames_.push_back(std::move(wire));
   }
   if (on_sent) {
     on_sent();
+  }
+}
+
+void MuxClientConnection::on_handshake() {
+  // Streams opened pre-connect all waited on this handshake; later
+  // streams find connected_ set and never get the callback (warm
+  // connection).
+  for (auto& [id, stream] : streams_) {
+    fire_once(stream.hooks.on_connected);
+  }
+  for (auto& frame : queued_frames_) {
+    tcp().send(std::move(frame));
+  }
+  queued_frames_.clear();
+}
+
+void MuxClientConnection::on_server_close() {
+  if (!streams_.empty()) {
+    fail("connection closed with streams open");
   }
 }
 
@@ -341,10 +276,8 @@ void MuxClientConnection::on_data(std::string_view bytes) {
     }
     Stream& stream = it->second;
     if (frame.type == Frame::Type::kData) {
-      if (!frame.payload.empty() && stream.hooks.on_first_byte) {
-        auto first_byte = std::move(stream.hooks.on_first_byte);
-        stream.hooks.on_first_byte = nullptr;
-        first_byte();
+      if (!frame.payload.empty()) {
+        fire_once(stream.hooks.on_first_byte);
       }
       stream.parser.push(frame.payload);
       if (stream.parser.failed()) {
@@ -363,17 +296,6 @@ void MuxClientConnection::on_data(std::string_view bytes) {
       streams_.erase(it);
       callback(std::move(response));
     }
-  }
-}
-
-void MuxClientConnection::fail(const std::string& reason) {
-  if (!alive_ && streams_.empty()) {
-    return;
-  }
-  alive_ = false;
-  streams_.clear();
-  if (on_error_) {
-    on_error_(reason);
   }
 }
 

@@ -5,9 +5,7 @@
 #include <memory>
 
 #include "http/parser.hpp"
-#include "net/fault_hooks.hpp"
-#include "net/fetch_hooks.hpp"
-#include "net/tcp.hpp"
+#include "net/stream_transport.hpp"
 
 namespace mahimahi::net::mux {
 
@@ -61,27 +59,14 @@ class FrameParser {
 
 /// Server side: binds an origin address and answers mux-framed HTTP
 /// requests with the same Handler signature HttpServer uses.
-class MuxServer {
+class MuxServer final : public OriginServer {
  public:
-  using Handler = std::function<http::Response(const http::Request&)>;
-
   static constexpr std::size_t kDefaultChunkBytes = 16 * 1024;
 
   MuxServer(Fabric& fabric, Address local, Handler handler,
             Microseconds processing_delay = 0,
             std::size_t chunk_bytes = kDefaultChunkBytes,
             TcpConnection::Config config = {});
-
-  [[nodiscard]] Address address() const { return listener_.local_address(); }
-  [[nodiscard]] std::uint64_t requests_served() const { return requests_served_; }
-  [[nodiscard]] std::uint64_t total_accepted() const {
-    return listener_.total_accepted();
-  }
-  [[nodiscard]] std::uint64_t faults_injected() const { return faults_injected_; }
-
-  /// Fault injection: consulted once per parsed request frame (indexed in
-  /// parse order, including requests that end up faulted). Null = none.
-  void set_fault_hook(ServerFaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
   struct Session {
@@ -92,52 +77,28 @@ class MuxServer {
     /// round-robin interleaved.
     std::map<std::uint32_t, Payload> pending_streams;
     std::map<std::uint32_t, Payload>::iterator next_stream;
-    bool writer_scheduled{false};
 
     Session() : next_stream{pending_streams.end()} {}
   };
 
-  TcpConnection::Callbacks make_callbacks(
-      const std::shared_ptr<TcpConnection>& connection);
+  TcpConnection::Callbacks accept(
+      const std::shared_ptr<TcpConnection>& connection) override;
   void on_data(const std::shared_ptr<Session>& session, std::string_view bytes);
   void start_response(const std::shared_ptr<Session>& session,
-                      std::uint32_t stream_id, http::Response response);
+                      std::uint32_t stream_id, std::string wire);
   void pump_writer(const std::shared_ptr<Session>& session);
 
-  Fabric& fabric_;
-  Handler handler_;
-  Microseconds processing_delay_;
   std::size_t chunk_bytes_;
-  std::uint64_t requests_served_{0};
-  std::uint64_t requests_seen_{0};  // fault-hook index (includes faulted)
-  std::uint64_t faults_injected_{0};
-  ServerFaultHook fault_hook_;
-  TcpListener listener_;
 };
 
 /// Client side: one connection, many concurrent fetches.
-class MuxClientConnection {
+class MuxClientConnection final : public ClientConnection {
  public:
-  using ResponseCallback = std::function<void(http::Response)>;
-  using ErrorCallback = std::function<void(const std::string& reason)>;
-
   MuxClientConnection(Fabric& fabric, Address server,
                       ErrorCallback on_error = {},
                       TcpConnection::Config config = {});
 
-  MuxClientConnection(const MuxClientConnection&) = delete;
-  MuxClientConnection& operator=(const MuxClientConnection&) = delete;
-
-  /// Issue a request; unlike HTTP/1.1, any number may be outstanding.
-  /// `hooks` (optional) observe this stream's transport edges.
-  void fetch(http::Request request, ResponseCallback callback,
-             FetchHooks hooks = {});
-
-  [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] std::size_t outstanding() const { return streams_.size(); }
-  [[nodiscard]] const TcpConnection& connection() const {
-    return client_.connection();
-  }
 
  private:
   struct Stream {
@@ -146,18 +107,19 @@ class MuxClientConnection {
     FetchHooks hooks;  // on_first_byte disarmed after the first kData frame
   };
 
-  void on_data(std::string_view bytes);
-  void fail(const std::string& reason);
+  /// Unlike HTTP/1.1, any number of requests may be outstanding.
+  void issue(http::Request request, ResponseCallback callback,
+             FetchHooks hooks) override;
+  void on_handshake() override;
+  void on_data(std::string_view bytes) override;
+  void on_server_close() override;
+  [[nodiscard]] bool busy() const override { return !streams_.empty(); }
+  void drop_requests() override { streams_.clear(); }
 
-  Fabric& fabric_;
   FrameParser parser_;
   std::map<std::uint32_t, Stream> streams_;
   std::uint32_t next_stream_id_{1};
-  bool connected_{false};
-  bool alive_{true};
   std::deque<std::string> queued_frames_;  // sent once connected
-  ErrorCallback on_error_;
-  TcpClient client_;  // declared last: callbacks reference the above
 };
 
 }  // namespace mahimahi::net::mux

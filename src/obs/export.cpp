@@ -4,11 +4,13 @@
 #include <cstdio>
 
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::obs {
 namespace {
 
 using util::append_json_escaped;
+using util::csv_field;
 using util::fixed;
 
 // ---- Chrome trace ---------------------------------------------------------
@@ -306,17 +308,9 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
 std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   std::string out;
   out.reserve(1 << 16);
-  const auto sanitize = [](std::string text) {
-    for (char& c : text) {
-      if (c == ',' || c == '\n' || c == '\r') {
-        c = ';';
-      }
-    }
-    return text;
-  };
-  out += "# mahimahi-obs-trace-v1 experiment=" + sanitize(meta.experiment) +
+  out += "# mahimahi-obs-trace-v1 experiment=" + csv_field(meta.experiment) +
          " cell=" + std::to_string(meta.cell_index) + " label=" +
-         sanitize(meta.cell_label) + " seed=" +
+         csv_field(meta.cell_label) + " seed=" +
          std::to_string(meta.cell_seed) + "\n";
   out += "load,session,t_us,layer,kind,flow,value,metric,label,detail\n";
   for (const LoadTrace& load : loads) {
@@ -326,8 +320,7 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
              std::to_string(e.at) + "," + std::string(to_string(e.layer)) +
              "," + std::string(to_string(e.kind)) + "," +
              std::to_string(e.flow) + "," + std::to_string(e.value) + "," +
-             fixed(e.metric, 6) + "," +
-             sanitize(e.label) + ",\n";
+             fixed(e.metric, 6) + "," + csv_field(e.label) + ",\n";
     }
     for (const ObjectRecord& o : load.buffer.objects) {
       const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
@@ -335,8 +328,8 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       out += prefix + std::to_string(o.session) + "," +
              std::to_string(start) + ",browser,object,0," +
              std::to_string(o.bytes) + "," +
-             fixed(to_ms(end - start), 6) + "," + sanitize(o.url) + "," +
-             "kind=" + sanitize(o.kind) + ";status=" +
+             fixed(to_ms(end - start), 6) + "," + csv_field(o.url) + "," +
+             "kind=" + csv_field(o.kind) + ";status=" +
              std::to_string(o.status) + ";attempts=" +
              std::to_string(o.attempts) + ";failed=" + (o.failed ? "1" : "0") +
              ";dns_start_us=" + std::to_string(o.dns_start) +
@@ -345,13 +338,13 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
              ";request_us=" + std::to_string(o.request_sent) +
              ";first_byte_us=" + std::to_string(o.first_byte) +
              ";complete_us=" + std::to_string(o.complete) +
-             ";error=" + sanitize(o.error) + "\n";
+             ";error=" + csv_field(o.error) + "\n";
     }
     for (const PageRecord& p : load.buffer.pages) {
       out += prefix + std::to_string(p.session) + "," +
              std::to_string(p.started_at) + ",browser,page,0," +
              (p.success ? "1" : "0") + "," + fixed(to_ms(p.plt), 6) + "," +
-             sanitize(p.url) + ",degraded_ms=" +
+             csv_field(p.url) + ",degraded_ms=" +
              fixed(to_ms(p.degraded_plt), 3) + "\n";
     }
   }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::obs {
 namespace {
@@ -18,6 +19,7 @@ constexpr double kQuarter[4] = {0.5, 0.59460355750136051, 0.70710678118654757,
 // an exact zero is common — e.g. a warm-connection connect phase).
 constexpr std::int32_t kZeroBucket = INT32_MIN;
 
+using util::csv_field;
 using util::fixed;
 
 void append_histogram_json(std::string& out,
@@ -170,23 +172,15 @@ std::string MetricsSnapshot::to_json_inline() const {
 }
 
 std::string MetricsSnapshot::to_csv() const {
-  const auto sanitize = [](std::string text) {
-    for (char& c : text) {
-      if (c == ',' || c == '\n' || c == '\r') {
-        c = ';';
-      }
-    }
-    return text;
-  };
   std::string out = "name,type,count,sum,min,max,p50,p90,p99,value\n";
   for (const auto& [name, value] : counters) {
-    out += sanitize(name) + ",counter,,,,,,,," + std::to_string(value) + "\n";
+    out += csv_field(name) + ",counter,,,,,,,," + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : gauges) {
-    out += sanitize(name) + ",gauge,,,,,,,," + fixed(value) + "\n";
+    out += csv_field(name) + ",gauge,,,,,,,," + fixed(value) + "\n";
   }
   for (const auto& [name, h] : histograms) {
-    out += sanitize(name) + ",histogram," + std::to_string(h.count) + "," +
+    out += csv_field(name) + ",histogram," + std::to_string(h.count) + "," +
            fixed(h.sum) + "," + fixed(h.min) + "," + fixed(h.max) + "," +
            fixed(h.p50) + "," + fixed(h.p90) + "," + fixed(h.p99) + ",\n";
   }

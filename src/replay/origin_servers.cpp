@@ -96,21 +96,21 @@ OriginServerSet::OriginServerSet(net::Fabric& fabric,
         };
       }
     }
+    std::unique_ptr<net::OriginServer> server;
     if (options.multiplexed) {
-      mux_servers_.push_back(std::make_unique<net::mux::MuxServer>(
+      server = std::make_unique<net::mux::MuxServer>(
           fabric, address, handler, options.processing_delay,
-          net::mux::MuxServer::kDefaultChunkBytes, tcp));
-      if (fault_hook) {
-        mux_servers_.back()->set_fault_hook(std::move(fault_hook));
-      }
+          net::mux::MuxServer::kDefaultChunkBytes, tcp);
     } else {
-      servers_.push_back(std::make_unique<net::HttpServer>(
-          fabric, address, handler, options.processing_delay, tcp));
-      servers_.back()->set_worker_pool(options.worker_pool);
-      if (fault_hook) {
-        servers_.back()->set_fault_hook(std::move(fault_hook));
-      }
+      auto http = std::make_unique<net::HttpServer>(
+          fabric, address, handler, options.processing_delay, tcp);
+      http->set_worker_pool(options.worker_pool);
+      server = std::move(http);
     }
+    if (fault_hook) {
+      server->set_fault_hook(std::move(fault_hook));
+    }
+    servers_.push_back(std::move(server));
   };
 
   if (options.single_server) {
@@ -150,18 +150,12 @@ std::uint64_t OriginServerSet::requests_served() const {
   for (const auto& server : servers_) {
     total += server->requests_served();
   }
-  for (const auto& server : mux_servers_) {
-    total += server->requests_served();
-  }
   return total;
 }
 
 std::uint64_t OriginServerSet::connections_accepted() const {
   std::uint64_t total = 0;
   for (const auto& server : servers_) {
-    total += server->total_accepted();
-  }
-  for (const auto& server : mux_servers_) {
     total += server->total_accepted();
   }
   return total;

@@ -81,7 +81,7 @@ class OriginServerSet {
 
   /// Number of web servers spawned (paper: one per recorded IP/port).
   [[nodiscard]] std::size_t server_count() const {
-    return servers_.size() + mux_servers_.size();
+    return servers_.size();
   }
 
   [[nodiscard]] std::uint64_t requests_served() const;
@@ -98,8 +98,7 @@ class OriginServerSet {
  private:
   Matcher matcher_;
   net::DnsTable dns_;
-  std::vector<std::unique_ptr<net::HttpServer>> servers_;
-  std::vector<std::unique_ptr<net::mux::MuxServer>> mux_servers_;
+  std::vector<std::unique_ptr<net::OriginServer>> servers_;
   std::vector<std::string> server_controllers_;
 };
 

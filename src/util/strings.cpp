@@ -123,6 +123,15 @@ bool parse_hex_u64(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
+std::string csv_field(std::string text) {
+  for (char& c : text) {
+    if (c == ',' || c == '\n' || c == '\r') {
+      c = ';';
+    }
+  }
+  return text;
+}
+
 std::string format_bytes(std::uint64_t bytes) {
   static constexpr std::array<const char*, 5> kUnits{"B", "KiB", "MiB", "GiB", "TiB"};
   double value = static_cast<double>(bytes);

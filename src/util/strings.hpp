@@ -35,6 +35,10 @@ bool parse_u64(std::string_view text, std::uint64_t& out);
 /// Parse hex (no 0x prefix) as used by chunked transfer coding sizes.
 bool parse_hex_u64(std::string_view text, std::uint64_t& out);
 
+/// `text` made safe as one unquoted CSV field: every `,`, `\n` and `\r`
+/// becomes `;`, so a label can never add a column or a row.
+std::string csv_field(std::string text);
+
 /// Human-friendly byte count, e.g. "1.4 KiB".
 std::string format_bytes(std::uint64_t bytes);
 

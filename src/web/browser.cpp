@@ -364,13 +364,7 @@ void Browser::pump_mux(OriginPool& pool) {
                 pool.mux_inflight.erase(key) == 0) {
               return;  // superseded by a deadline expiry; already accounted
             }
-            cancel_deadline(key);
-            MAHI_ASSERT(in_flight_requests_ > 0);
-            --in_flight_requests_;
-            on_response(url, std::move(response));
-            if (loading_) {
-              pump_all();
-            }
+            fetch_completed(url, key, std::move(response));
           },
           make_fetch_hooks(url));
     });
@@ -408,16 +402,21 @@ void Browser::issue(const std::shared_ptr<PoolEntry>& entry,
         std::move(request),
         [this, raw, url](http::Response response) {
           raw->busy = false;
-          MAHI_ASSERT(in_flight_requests_ > 0);
-          --in_flight_requests_;
-          cancel_deadline(url.to_string());
-          on_response(url, std::move(response));
-          if (loading_) {
-            pump_all();
-          }
+          fetch_completed(url, url.to_string(), std::move(response));
         },
         make_fetch_hooks(url));
   });
+}
+
+void Browser::fetch_completed(const http::Url& url, const std::string& key,
+                              http::Response response) {
+  MAHI_ASSERT(in_flight_requests_ > 0);
+  --in_flight_requests_;
+  cancel_deadline(key);
+  on_response(url, std::move(response));
+  if (loading_) {
+    pump_all();
+  }
 }
 
 void Browser::on_response(const http::Url& url, http::Response response) {
@@ -566,12 +565,16 @@ void Browser::finish() {
   if (!loading_) {
     return;
   }
+  complete_load(result_.objects_failed == 0 && result_.objects_loaded > 0);
+}
+
+void Browser::complete_load(bool success) {
   loading_ = false;
   if (stall_event_ != 0) {
     loop_.cancel(stall_event_);
     stall_event_ = 0;
   }
-  result_.success = result_.objects_failed == 0 && result_.objects_loaded > 0;
+  result_.success = success;
   result_.page_load_time = loop_.now() - started_at_;
   result_.started_at = started_at_;
   fill_degraded_plt();
@@ -731,22 +734,7 @@ void Browser::arm_stall_timer() {
     result_.errors.push_back("stall timeout");
     result_.objects_failed += outstanding_objects_;
     outstanding_objects_ = 0;
-    loading_ = false;
-    result_.success = false;
-    result_.page_load_time = loop_.now() - started_at_;
-    result_.started_at = started_at_;
-    fill_degraded_plt();
-    if (tracer() != nullptr) {
-      tracer()->page(obs::PageRecord{config_.tcp.trace_session, page_url_,
-                                     started_at_, result_.page_load_time,
-                                     result_.degraded_page_load_time,
-                                     result_.success});
-    }
-    pools_.clear();
-    cancel_fetch_timers();
-    LoadCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(std::move(result_));
+    complete_load(false);
   });
 }
 

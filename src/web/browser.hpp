@@ -199,12 +199,21 @@ class Browser {
   /// behind earlier issues; at once when the cost is zero.
   template <typename Send>
   void schedule_issue(Send&& send);
+  /// A fetch's response arrived on either protocol: free its in-flight
+  /// slot, cancel its deadline (`key` is the URL's string), process the
+  /// response and refill the pools.
+  void fetch_completed(const http::Url& url, const std::string& key,
+                       http::Response response);
   void on_response(const http::Url& url, http::Response response);
   void on_object_computed(const http::Url& url, http::ResourceKind kind,
                           std::string body);
   void object_finished(bool ok, const std::string& error = {});
   void maybe_finish();
   void finish();
+  /// The tail every load ends with, finished or stalled: PLT, degraded
+  /// PLT, the tracer's page record, connection teardown, timer
+  /// cancellation and the load callback.
+  void complete_load(bool success);
   void arm_stall_timer();
 
   // --- resilience layer ---

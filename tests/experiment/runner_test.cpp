@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace mahimahi::experiment {
 namespace {
 
@@ -316,6 +320,46 @@ TEST(ExperimentRunner, FailedLoadsLandAsReportRowsNotCrashes) {
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"fault\": \"grim\""), std::string::npos);
   EXPECT_NE(json.find("\"objects_failed\""), std::string::npos);
+}
+
+TEST(ExperimentRunner, CsvLabelsNeverShiftColumns) {
+  // Spec labels are free text (the spec parser accepts `shell say,hi
+  // delay=10ms`); in report.csv every row must still have exactly the
+  // header's fields, and every cell exactly one row.
+  ExperimentSpec spec = small_spec();
+  spec.loads_per_cell = 1;
+  spec.sites[0].label = "ti,ny";
+  spec.shells[0].label = "say,hi";
+  spec.queues[0].label = "fi\nfo";
+  spec.ccs = {CcAxis{"re,\r\nno", {"reno"}}};
+  FaultAxis fault;
+  fault.label = "cr,ash";
+  fault.fault = fault::parse_fault_spec(
+      "crash:p=0.05 retry:deadline=2s,max=3,base=100ms,cap=1s");
+  spec.faults = {fault};
+  const Report report = run_experiment(spec);
+  ASSERT_EQ(report.cells.size(), 1u);
+
+  const std::string csv = report.to_csv();
+  std::vector<std::string> rows;
+  std::size_t start = 0;
+  for (std::size_t end; (end = csv.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    rows.push_back(csv.substr(start, end - start));
+  }
+  EXPECT_EQ(start, csv.size());  // ends with a newline
+  ASSERT_EQ(rows.size(), 1 + report.cells.size());
+  const auto fields = [](const std::string& row) {
+    return std::count(row.begin(), row.end(), ',') + 1;
+  };
+  for (const std::string& row : rows) {
+    EXPECT_EQ(fields(row), fields(rows[0])) << row;
+    EXPECT_EQ(row.find('\r'), std::string::npos) << row;
+  }
+  EXPECT_NE(rows[1].find(",ti;ny,http11,say;hi,fi;fo,re;;;no,"),
+            std::string::npos)
+      << rows[1];
+  EXPECT_NE(rows[1].find(",cr;ash,"), std::string::npos) << rows[1];
 }
 
 }  // namespace

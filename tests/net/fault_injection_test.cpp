@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "net/dns.hpp"
 #include "net/element.hpp"
@@ -189,16 +190,42 @@ TEST(DnsFaults, DropBeyondRetryBudgetFailsTheLookup) {
   EXPECT_EQ(server.faults_injected(), 2u);  // original + one retry
 }
 
-// --- Origin faults (HTTP/1.1) -----------------------------------------------
+// --- Origin faults (both transports) ----------------------------------------
 
 http::Response ok_handler(const http::Request&) {
   return http::make_ok(std::string(20'000, 'b'));
 }
 
-TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
+/// One application protocol's server/client pair. Both share the origin
+/// fault path and the client failure path, so every case below must hold
+/// for each of them.
+struct Http11 {
+  using Server = HttpServer;
+  using Client = HttpClientConnection;
+  static constexpr const char* kDeadFetchError = "fetch on dead connection";
+};
+struct Mux {
+  using Server = mux::MuxServer;
+  using Client = mux::MuxClientConnection;
+  static constexpr const char* kDeadFetchError = "fetch on dead mux connection";
+};
+
+struct TransportName {
+  template <typename T>
+  static std::string GetName(int) {
+    return std::is_same_v<T, Http11> ? "Http11" : "Mux";
+  }
+};
+
+template <typename Transport>
+class TransportFaults : public ::testing::Test {};
+using Transports = ::testing::Types<Http11, Mux>;
+TYPED_TEST_SUITE(TransportFaults, Transports, TransportName);
+
+TYPED_TEST(TransportFaults, CrashSendsPartialResponseThenReset) {
   SimNet net;
   net.add_delay(5_ms);
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
+  typename TypeParam::Server server{net.fabric, kServerAddr, ok_handler};
   server.set_fault_hook([](std::uint64_t request_index) {
     ServerFault fault;
     if (request_index == 0) {
@@ -210,8 +237,9 @@ TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
 
   std::string error;
   bool got_response = false;
-  HttpClientConnection client{net.fabric, kServerAddr,
-                              [&](const std::string& reason) { error = reason; }};
+  typename TypeParam::Client client{
+      net.fabric, kServerAddr,
+      [&](const std::string& reason) { error = reason; }};
   client.fetch(http::make_get("http://10.0.0.1/hero.jpg"),
                [&](http::Response) { got_response = true; });
   net.loop.run();
@@ -219,13 +247,14 @@ TEST(OriginFaults, CrashSendsPartialResponseThenReset) {
   EXPECT_FALSE(got_response);
   EXPECT_EQ(error, "connection reset");
   EXPECT_EQ(server.faults_injected(), 1u);
+  EXPECT_EQ(server.requests_served(), 1u);  // the handler ran; the send died
   EXPECT_FALSE(client.alive());
 }
 
-TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
+TYPED_TEST(TransportFaults, StallAcceptsTheRequestAndNeverResponds) {
   SimNet net;
   net.add_delay(5_ms);
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
+  typename TypeParam::Server server{net.fabric, kServerAddr, ok_handler};
   server.set_fault_hook([](std::uint64_t) {
     ServerFault fault;
     fault.kind = ServerFault::Kind::kStall;
@@ -234,8 +263,9 @@ TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
 
   std::string error;
   bool got_response = false;
-  HttpClientConnection client{net.fabric, kServerAddr,
-                              [&](const std::string& reason) { error = reason; }};
+  typename TypeParam::Client client{
+      net.fabric, kServerAddr,
+      [&](const std::string& reason) { error = reason; }};
   client.fetch(http::make_get("http://10.0.0.1/spinner.gif"),
                [&](http::Response) { got_response = true; });
   net.loop.run();  // drains: the stalled request leaves nothing scheduled
@@ -244,26 +274,64 @@ TEST(OriginFaults, StallAcceptsTheRequestAndNeverResponds) {
   EXPECT_TRUE(error.empty());  // a stall is silent — only a deadline sees it
   EXPECT_EQ(server.faults_injected(), 1u);
   EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_TRUE(client.alive());
 }
 
-TEST(OriginFaults, ExtraDelayDefersTheResponse) {
-  SimNet net;
-  HttpServer server{net.fabric, kServerAddr, ok_handler};
-  server.set_fault_hook([](std::uint64_t) {
-    ServerFault fault;  // kNone — brown-out latency only
-    fault.extra_delay = 80_ms;
-    return fault;
-  });
-  HttpClientConnection client{net.fabric, kServerAddr};
-  Microseconds done_at = 0;
-  client.fetch(http::make_get("http://10.0.0.1/slow"),
-               [&](http::Response r) {
-                 EXPECT_EQ(r.status, 200);
-                 done_at = net.loop.now();
-               });
-  net.loop.run();
-  EXPECT_GE(done_at, 80_ms);
+TYPED_TEST(TransportFaults, ExtraDelayDefersTheResponse) {
+  // The same fetch with and without an 80 ms brown-out: the response
+  // arrives exactly that much later.
+  const auto done_at = [](Microseconds extra_delay) {
+    SimNet net;
+    net.add_delay(5_ms);
+    typename TypeParam::Server server{net.fabric, kServerAddr, ok_handler};
+    server.set_fault_hook([extra_delay](std::uint64_t) {
+      ServerFault fault;  // kNone — brown-out latency only
+      fault.extra_delay = extra_delay;
+      return fault;
+    });
+    typename TypeParam::Client client{net.fabric, kServerAddr};
+    Microseconds at = 0;
+    client.fetch(http::make_get("http://10.0.0.1/slow"),
+                 [&](http::Response r) {
+                   EXPECT_EQ(r.status, 200);
+                   at = net.loop.now();
+                 });
+    net.loop.run();
+    EXPECT_EQ(server.faults_injected(), 0u);  // a delay is not a fault
+    return at;
+  };
+  const Microseconds healthy = done_at(0);
+  ASSERT_GT(healthy, 0);
+  EXPECT_EQ(done_at(80_ms), healthy + 80_ms);
 }
+
+TYPED_TEST(TransportFaults, SynTimeoutSurfacesThroughTheClient) {
+  SimNet net;
+  // No listener bound: SYNs vanish, the handshake gives up, and the typed
+  // reason reaches the application as the error string.
+  TcpConnection::Config config;
+  config.max_syn_retries = 1;
+  config.initial_rto = 100_ms;
+  std::string error;
+  typename TypeParam::Client client{
+      net.fabric, kServerAddr,
+      [&](const std::string& reason) { error = reason; }, config};
+  bool got_response = false;
+  client.fetch(http::make_get("http://10.0.0.1/x"),
+               [&](http::Response) { got_response = true; });
+  net.loop.run();
+  EXPECT_FALSE(got_response);
+  EXPECT_EQ(error, "connect timeout (SYN retransmit limit)");
+  EXPECT_FALSE(client.alive());
+
+  // A dead connection refuses further work through the error callback.
+  client.fetch(http::make_get("http://10.0.0.1/y"),
+               [&](http::Response) { got_response = true; });
+  EXPECT_FALSE(got_response);
+  EXPECT_EQ(error, TypeParam::kDeadFetchError);
+}
+
+// --- Origin faults (HTTP/1.1) -----------------------------------------------
 
 TEST(OriginFaults, OnlyTheFaultedRequestOnAConnectionIsLost) {
   // Request #1 crashes the connection; a fresh connection then fetches the
@@ -345,26 +413,6 @@ TEST(TcpCloseReason, LabelsAreStable) {
   EXPECT_EQ(to_string(TcpConnection::CloseReason::kRetransmitExhausted),
             "retransmit limit exhausted");
   EXPECT_EQ(to_string(TcpConnection::CloseReason::kLocalAbort), "local abort");
-}
-
-TEST(TcpCloseReason, SynTimeoutSurfacesThroughHttpClient) {
-  SimNet net;
-  // No listener bound: SYNs vanish, the handshake gives up, and the typed
-  // reason reaches the application as the error string.
-  TcpConnection::Config config;
-  config.max_syn_retries = 1;
-  config.initial_rto = 100_ms;
-  std::string error;
-  HttpClientConnection client{net.fabric, kServerAddr,
-                              [&](const std::string& reason) { error = reason; },
-                              config};
-  bool got_response = false;
-  client.fetch(http::make_get("http://10.0.0.1/x"),
-               [&](http::Response) { got_response = true; });
-  net.loop.run();
-  EXPECT_FALSE(got_response);
-  EXPECT_EQ(error, "connect timeout (SYN retransmit limit)");
-  EXPECT_FALSE(client.alive());
 }
 
 TEST(TcpCloseReason, BlackholeMidTransferExhaustsRetransmits) {
