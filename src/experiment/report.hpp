@@ -90,6 +90,11 @@ class Report {
   /// artifacts are overwritten by the --resume that completes it.
   bool interrupted{false};
   std::vector<CellResult> cells;
+  /// Artifacts the run failed to write: per-cell trace files in cell
+  /// order, then the journal's events.csv. Never serialized — it is the
+  /// caller's signal that the run's outputs are incomplete
+  /// (mm_experiment names each path and exits 1).
+  std::vector<std::string> failed_writes;
 
   /// Schema "mahimahi-experiment-v1": metadata + one object per cell with
   /// full PLT samples, summary stats and the fairness block.

@@ -174,6 +174,9 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                                 : core::ParallelRunner::shared();
   const int loads = options.loads_override > 0 ? options.loads_override
                                                : spec.loads_per_cell;
+  if (loads < 1) {
+    throw std::invalid_argument{"experiment: loads per cell must be >= 1"};
+  }
 
   const std::vector<Cell> matrix = expand_matrix(spec);
   std::vector<Cell> cells;
@@ -254,6 +257,69 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
                               std::memory_order_relaxed);
   }
 
+  // --- per-cell observation, pipelined into the pool ---------------------
+  // A cell's metrics and artifacts are a pure function of its traces in
+  // load order, so the task that lands a cell's last load derives and
+  // exports that cell on the spot. Every load task, on every path (run,
+  // replayed from the journal, skipped on cancel, tripped by the
+  // watchdog), parks its buffer in its (cell, load) slot and counts down;
+  // the acq_rel countdown makes every sibling's slot visible to the task
+  // that reaches zero. Slots are indexed by load, so the bytes are
+  // identical at any thread count, across shard splits and --resume.
+  struct CellObservation {
+    std::vector<obs::LoadTrace> traces;
+    std::atomic<int> loads_pending{0};
+    std::string metrics_json;
+    std::vector<std::string> failed_writes;
+  };
+  std::vector<CellObservation> observed(tracing ? cells.size() : 0);
+  for (CellObservation& cell_obs : observed) {
+    cell_obs.traces.resize(static_cast<std::size_t>(loads));
+    cell_obs.loads_pending.store(loads, std::memory_order_relaxed);
+  }
+  if (!options.trace_dir.empty()) {
+    std::filesystem::create_directories(options.trace_dir);
+  }
+  const auto finish_cell = [&](std::size_t pos) {
+    CellObservation& cell_obs = observed[pos];
+    if (options.metrics) {
+      MAHI_PROFILE("metrics");
+      cell_obs.metrics_json =
+          obs::derive_cell_metrics(cell_obs.traces).to_json_inline();
+    }
+    if (!options.trace_dir.empty()) {
+      MAHI_PROFILE("export");
+      const Cell& cell = cells[pos];
+      const obs::TraceMeta meta{spec.name, cell.label(), cell.index,
+                                cell.cell_seed};
+      const std::string base =
+          options.trace_dir + "/cell" + std::to_string(cell.index);
+      const auto write = [&](const std::string& path,
+                             const std::string& content) {
+        if (!Report::write_file(path, content)) {
+          cell_obs.failed_writes.push_back(path);
+        }
+      };
+      write(base + ".trace.json", obs::to_chrome_trace(meta, cell_obs.traces));
+      write(base + ".har", obs::to_har(meta, cell_obs.traces));
+      write(base + ".csv", obs::to_csv(meta, cell_obs.traces));
+    }
+    // The cell is final: free its buffers now instead of holding every
+    // cell's traces until the run ends.
+    cell_obs.traces.clear();
+  };
+  const auto land_trace = [&](const Task& task, TaskResult& outcome) {
+    if (observed.empty() || task.is_probe) {
+      return;
+    }
+    CellObservation& cell_obs = observed[task.cell_pos];
+    cell_obs.traces[static_cast<std::size_t>(task.load_index)] =
+        obs::LoadTrace{task.load_index, std::move(outcome.trace)};
+    if (cell_obs.loads_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish_cell(task.cell_pos);
+    }
+  };
+
   const int max_attempts = 1 + spec.task_retries;
   std::vector<TaskResult> outcomes = pool.map(
       static_cast<int>(tasks.size()), [&](int task_index) {
@@ -281,16 +347,20 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
         // difference.
         const auto it = journal_state.replayed.find(key);
         if (it != journal_state.replayed.end()) {
+          TaskResult replayed = it->second;
+          land_trace(task, replayed);
           progress();
-          return it->second;
+          return replayed;
         }
         TaskResult outcome;
         // Graceful cancellation: stop admitting work. Tasks already past
-        // this check drain normally; this one reports itself skipped and
-        // the merge marks the report interrupted.
+        // this check drain normally; this one reports itself skipped (an
+        // empty load in the cell's trace) and the merge marks the report
+        // interrupted.
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed)) {
           outcome.skipped = 1;
+          land_trace(task, outcome);
           progress();
           return outcome;
         }
@@ -404,6 +474,7 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
           MAHI_PROFILE("journal");
           journal_state.writer->append(encode_task_record(key, outcome));
         }
+        land_trace(task, outcome);
         progress();
         return outcome;
       });
@@ -433,6 +504,12 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
     row.fleet_sessions = cell.fleet.sessions;
     row.fault = cell.fault.label;
     row.loads_expected = loads;
+    if (!observed.empty()) {
+      row.metrics_json = std::move(observed[pos].metrics_json);
+      report.failed_writes.insert(report.failed_writes.end(),
+                                  observed[pos].failed_writes.begin(),
+                                  observed[pos].failed_writes.end());
+    }
   }
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const Task& task = tasks[i];
@@ -528,45 +605,9 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
     const obs::TraceMeta meta{spec.name, "runner", -1, spec.seed};
     std::vector<obs::LoadTrace> runner_trace;
     runner_trace.push_back(obs::LoadTrace{0, std::move(events)});
-    Report::write_file(options.journal_dir + "/events.csv",
-                       obs::to_csv(meta, runner_trace));
-  }
-
-  if (tracing) {
-    // Per-cell traces, merged by global load index — the same ordering
-    // contract as the report rows, so both the exported bytes and the
-    // derived metrics are identical at any thread count and across shard
-    // splits (and across --resume, which replays the same buffers).
-    std::vector<std::vector<obs::LoadTrace>> cell_traces(cells.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const Task& task = tasks[i];
-      if (task.is_probe) {
-        continue;
-      }
-      cell_traces[task.cell_pos].push_back(
-          obs::LoadTrace{task.load_index, std::move(outcomes[i].trace)});
-    }
-    if (options.metrics) {
-      MAHI_PROFILE("metrics");
-      for (std::size_t pos = 0; pos < cells.size(); ++pos) {
-        report.cells[pos].metrics_json =
-            obs::derive_cell_metrics(cell_traces[pos]).to_json_inline();
-      }
-    }
-    if (!options.trace_dir.empty()) {
-      MAHI_PROFILE("export");
-      std::filesystem::create_directories(options.trace_dir);
-      for (std::size_t pos = 0; pos < cells.size(); ++pos) {
-        const Cell& cell = cells[pos];
-        const obs::TraceMeta meta{spec.name, cell.label(), cell.index,
-                                  cell.cell_seed};
-        const std::string base =
-            options.trace_dir + "/cell" + std::to_string(cell.index);
-        Report::write_file(base + ".trace.json",
-                           obs::to_chrome_trace(meta, cell_traces[pos]));
-        Report::write_file(base + ".har", obs::to_har(meta, cell_traces[pos]));
-        Report::write_file(base + ".csv", obs::to_csv(meta, cell_traces[pos]));
-      }
+    const std::string events_path = options.journal_dir + "/events.csv";
+    if (!Report::write_file(events_path, obs::to_csv(meta, runner_trace))) {
+      report.failed_writes.push_back(events_path);
     }
   }
   return report;

@@ -31,18 +31,23 @@ struct RunOptions {
   /// When non-empty: every load task records a full obs trace, and each
   /// cell exports three artifacts into this directory — cell<index>.trace
   /// .json (Chrome trace-event / Perfetto), cell<index>.har (HAR 1.2) and
-  /// cell<index>.csv (time series, the mm_trace_dump input). Tracing
-  /// follows the same determinism contract as the report: one Tracer per
-  /// task, buffers merged by load index, so artifact bytes are identical
-  /// at any thread or shard count. Off (empty) = zero tracing overhead.
+  /// cell<index>.csv (time series, the mm_trace_dump input). The
+  /// directory is created before any task runs, and each cell is exported
+  /// on the pool by the task that lands its last load, then its buffers
+  /// are freed. Tracing follows the same determinism contract as the
+  /// report: one Tracer per task, buffers slotted by load index, so
+  /// artifact bytes are identical at any thread or shard count. Paths
+  /// that fail to write are listed in Report::failed_writes. Off (empty)
+  /// = zero tracing overhead.
   std::string trace_dir{};
   /// Derive per-cell metrics (counters / gauges / log-bucketed histograms:
   /// queue residence, cwnd convergence, retransmit bursts, PLT critical
   /// path, fault recovery) and attach each cell's snapshot to the Report
   /// as a "metrics" block. Implies tracing internally — every load task
   /// records a trace buffer even when trace_dir is empty — but artifacts
-  /// are only exported when trace_dir is set. Metrics derive from the
-  /// merged per-cell traces (load-index order), so they obey the same
+  /// are only exported when trace_dir is set. Each cell's metrics are
+  /// derived on the pool by the task that lands its last load, from the
+  /// cell's traces in load-index order, so they obey the same
   /// byte-determinism contract as the report and survive --resume.
   bool metrics{false};
   /// Progress callback (tasks_done, tasks_total, cells_done, cells_total),

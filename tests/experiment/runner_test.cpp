@@ -199,6 +199,14 @@ TEST(ExperimentRunner, RejectsBadShards) {
   EXPECT_THROW(run_experiment(small_spec(), options), std::invalid_argument);
 }
 
+TEST(ExperimentRunner, RejectsCellsWithoutLoads) {
+  // A cell is derived and exported by the task that lands its last load,
+  // so a run must schedule at least one load per cell.
+  ExperimentSpec spec = small_spec();
+  spec.loads_per_cell = 0;
+  EXPECT_THROW(run_experiment(spec), std::invalid_argument);
+}
+
 /// small_spec() narrowed to one cc, with a fault ladder attached.
 ExperimentSpec faulted_spec() {
   ExperimentSpec spec = small_spec();

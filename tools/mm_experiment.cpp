@@ -352,6 +352,12 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "[experiment] wrote %s and %s\n", json_out.c_str(),
                  csv_out.c_str());
+    // A trace artifact or events.csv that did not land fails the run just
+    // like a report that did not.
+    for (const std::string& path : report.failed_writes) {
+      std::fprintf(stderr, "[experiment] failed to write %s\n", path.c_str());
+      wrote = false;
+    }
 
     if (profile) {
       // Wall-clock numbers: a diagnostic artifact, deliberately outside
